@@ -30,9 +30,7 @@ from .systems import (
     Trajectory,
     check_axioms,
     check_homogeneity,
-    concat_signal,
     flow,
-    shift_signal,
 )
 from .models import (
     BlockOperatorModel,

@@ -20,13 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import models as model_zoo
 from .comparison import identity_table
 from .lyapunov import verify_decay
 from .models import (
     build_blowup_example,
     build_l2_block_model,
+    build_scalar_example,
     build_switched_linear,
+    build_ugatt_example,
     model_from_descriptor,
 )
 from .probes import classify_rep, classify_rfc, estimate_switched_bound, probe_attractivity
@@ -220,7 +221,7 @@ def _task_construct(config, outdir, lines):
     rng = np.random.default_rng(config.seed)
     grid = []
     for _ in range(int(p.get("grid_points", 16))):
-        v = rng.normal(size=model_zoo.model_from_descriptor(config.model).dim)
+        v = rng.normal(size=model.dim)
         grid.append(v / np.linalg.norm(v) * rng.uniform(0.2, p.get("R", 1.0)))
     _write(outdir, "w_table.csv", W.export_csv(grid))
     _write(outdir, "w_metadata.json", W.export_metadata())
@@ -242,7 +243,7 @@ def _reproduce_ex26(config, outdir, lines):
     rows = ["variant,rfc,rep,expected_rfc,expected_rep,match"]
     ok = True
     for variant, (e_rfc, e_rep) in expected.items():
-        model = model_zoo.build_scalar_example(variant)
+        model = build_scalar_example(variant)
         rfc = classify_rfc(model, C_grid=(0.25, 1.0, 2.0), tau_grid=(0.0, 0.5, 1.0),
                            budget=4, seed=config.seed, step=2e-2)
         rep = classify_rep(model, h_grid=(0.5,), eps_grid=(0.5,), budget=4,
@@ -260,7 +261,7 @@ def _reproduce_ex26(config, outdir, lines):
 
 
 def _reproduce_ex213(config, outdir, lines):
-    model = model_zoo.build_ugatt_example()
+    model = build_ugatt_example()
     ugatt = probe_attractivity(model, "UGATT", r_grid=(0.5, 1.0), eps_grid=(0.01,),
                                budget=4, horizon=8.0, seed=config.seed,
                                magnitude=2.0, step=2e-3)

@@ -15,7 +15,7 @@ factorization fit ``sontag_factorize`` and the comparison-principle surface
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,9 +144,6 @@ class TabulatedMonotone:
         if np.any(over):
             x = np.where(over, self.grid[-1] + (y - self.values[-1]) / self.slope, x)
         return float(x) if x.ndim == 0 else x
-
-    def with_tag(self, tag):
-        return replace(self, class_tag=tag)
 
     def to_csv(self):
         """Two-column CSV with a header line carrying the class tag."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import TabulatedMonotone, gk_threshold, lipschitz_minorant, sontag_factorize
-from .systems import EscapeError, flow, sub_rng
+from .systems import EscapeError, _as_system, flow, sub_rng
 
 __all__ = [
     "ConverseConfig",
@@ -34,10 +34,6 @@ __all__ = [
     "assemble_w",
     "invert_table",
 ]
-
-
-def _as_system(model):
-    return getattr(model, "system", model)
 
 
 def invert_table(f):
@@ -190,7 +186,9 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3,
 class VkEvaluator:
     """One member of the constructed family (integral or max type).
 
-    Values are maxima over a frozen set of sampled disturbances, so they
+    Values are maxima over a frozen set of sampled disturbances, drawn once
+    on the horizon of the reference radius ``config.R`` and shared by every
+    state (beyond that horizon each signal keeps its last value), so they
     are lower estimates of the disturbance supremum; increasing the budget
     never decreases a value.
     """
@@ -199,6 +197,11 @@ class VkEvaluator:
     k: int
     config: ConverseConfig
     kind: str  # "integral" or "max"
+    _signals: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_signals", tuple(
+            self.config.signals(self.model, self.horizon(self.config.R))))
 
     def horizon(self, R):
         T = self.config.horizon(R, self.k)
@@ -218,7 +221,7 @@ class VkEvaluator:
         step = step or self.config.quadrature_step
         cfg = self.config
         best = 0.0
-        for d in cfg.signals(model, T):
+        for d in self._signals:
             traj = flow(model, T, x, d, step=step)
             if traj.escaped is not None:
                 raise EscapeError(
@@ -286,17 +289,6 @@ class ConstructedLyapunov:
         for w, vk in zip(self.weights, self.evaluators):
             total = total + w * gk_threshold(vk.k, rho_r)
         return float(total[0]) if np.ndim(r) == 0 else total
-
-    def lipschitz_bound(self, R):
-        """Ball-R Lipschitz constant of W from the per-member tables."""
-        total = 0.0
-        for w, vk in zip(self.weights, self.evaluators):
-            key = (round(float(R), 12), vk.k)
-            M = self.lipschitz.get(key)
-            if M is None:
-                raise KeyError(f"no Lipschitz table entry for R={R}, k={vk.k}")
-            total += w * M
-        return total
 
     def export_csv(self, state_grid):
         """Sampled W over a user-supplied state grid."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import KLSurface, TabulatedMonotone
-from .systems import DisturbanceSignal, flow, sub_rng
+from .systems import DisturbanceSignal, _as_system, flow, sub_rng
 
 __all__ = [
     "ProbeReport",
@@ -77,6 +77,8 @@ class ProbeReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.verdict == "refuted" and not self.witnesses:
             raise ValueError("refuted verdicts must carry a witness")
+        if any(w is None for w in self.witnesses):
+            raise ValueError("witnesses must not be None")
 
     def to_json(self):
         tables = {}
@@ -100,10 +102,6 @@ class ProbeReport:
             indent=2,
             default=str,
         )
-
-
-def _as_system(model):
-    return getattr(model, "system", model)
 
 
 @dataclass(frozen=True)
@@ -155,6 +153,28 @@ def _confirmed_flow(model, horizon, x, d, step, refinements=2, factor=8.0):
     return traj
 
 
+def _sample(model, rng, radius, n_states, n_signals, horizon, *, magnitude, pieces, step,
+            extra=(), interior=0):
+    """Flow sampled start states under sampled probe signals over the horizon.
+
+    The states are the sphere of the given radius (``extra`` and axis
+    directions, then ``n_states`` random ones) followed by the first
+    ``interior`` of them pulled inside the ball; the signals are the probe
+    signals of the disturbance set.  ``rng`` is drawn in exactly that order.
+    Every pair lazily yields one ``_TrajSummary``, escapes confirmed by
+    refinement, so a caller that stops early skips the remaining flows.
+    """
+    states = _sphere_states(rng, model.dim, radius, n_states, extra=extra)
+    states += [s * float(rng.uniform(0.2, 0.9)) for s in states[:interior]]
+    signals = model.disturbance_set.probe_signals(
+        rng, max(horizon, 1e-6), n_signals, pieces=pieces, magnitude=magnitude)
+    for x in states:
+        for d in signals:
+            traj = _confirmed_flow(model, horizon, x, d, step)
+            yield _TrajSummary(x0=x, signal=d, times=traj.times,
+                               norms=traj.norms(model.norm), escaped=traj.escaped)
+
+
 def _mu_scan(model, C_grid, tau_grid, budget, *, seed, magnitude, pieces, step,
              states_per_c=3, extra_directions=()):
     """Sampled lower estimate of the reachability sup, with argmax witnesses.
@@ -169,29 +189,24 @@ def _mu_scan(model, C_grid, tau_grid, budget, *, seed, magnitude, pieces, step,
     cells = np.zeros((C_grid.size, tau_grid.size))
     wits = [[None] * tau_grid.size for _ in range(C_grid.size)]
     for i, C in enumerate(C_grid):
-        rng = sub_rng(seed, 11, i)
-        states = _sphere_states(rng, model.dim, C, states_per_c, extra=extra_directions)
-        states += [s * float(rng.uniform(0.2, 0.9)) for s in states[: max(1, states_per_c // 2)]]
-        signals = model.disturbance_set.probe_signals(
-            rng, max(tau_max, 1e-6), budget, pieces=pieces, magnitude=magnitude
-        )
-        for x in states:
-            for d in signals:
-                traj = _confirmed_flow(model, tau_max, x, d, step)
-                norms = traj.norms(model.norm)
-                run = np.maximum.accumulate(norms)
-                for j, tau in enumerate(tau_grid):
-                    if traj.escaped is not None and tau >= traj.escaped[0]:
-                        if not np.isinf(cells[i, j]):
-                            cells[i, j] = np.inf
-                            wits[i][j] = (x, d, traj.escaped[1], np.inf)
-                        continue
-                    jt = int(np.searchsorted(traj.times, tau, side="right")) - 1
-                    jt = max(jt, 0)
-                    val = float(run[jt])
-                    if val > cells[i, j]:
-                        cells[i, j] = val
-                        wits[i][j] = (x, d, float(traj.times[int(np.argmax(norms[: jt + 1]))]), val)
+        trajs = _sample(model, sub_rng(seed, 11, i), C, states_per_c, budget, tau_max,
+                        magnitude=magnitude, pieces=pieces, step=step,
+                        extra=extra_directions, interior=max(1, states_per_c // 2))
+        for tr in trajs:
+            run = np.maximum.accumulate(tr.norms)
+            for j, tau in enumerate(tau_grid):
+                if tr.escaped is not None and tau >= tr.escaped[0]:
+                    if not np.isinf(cells[i, j]):
+                        cells[i, j] = np.inf
+                        wits[i][j] = (tr.x0, tr.signal, tr.escaped[1], np.inf)
+                    continue
+                jt = int(np.searchsorted(tr.times, tau, side="right")) - 1
+                jt = max(jt, 0)
+                val = float(run[jt])
+                if val > cells[i, j]:
+                    cells[i, j] = val
+                    wits[i][j] = (tr.x0, tr.signal,
+                                  float(tr.times[int(np.argmax(tr.norms[: jt + 1]))]), val)
     # running max over C keeps the estimate monotone in its first argument
     cells = np.maximum.accumulate(cells, axis=0)
     return cells, wits
@@ -236,16 +251,12 @@ def classify_rfc(model, C_grid=(0.25, 0.5, 1.0, 2.0), tau_grid=(0.0, 0.5, 1.0, 2
     for m_idx, mag in enumerate(magnitudes):
         cells, wits = _mu_scan(model, C_grid, tau_grid, budget, seed=seed,
                                magnitude=mag, pieces=pieces, step=step)
+        # the first flagged cell in row-major order holds its own argmax
+        # (cells are a running max over C), so its witness is always set
         bad = ~np.isfinite(cells) | (cells > threshold)
         if np.any(bad):
-            w = None
-            for i, j in np.argwhere(bad):
-                if wits[i][j] is not None:
-                    w = wits[i][j]
-                    break
-            else:
-                i, j = np.argwhere(bad)[0]
-                w = (np.zeros(model.dim), model.default_signal(), 0.0, np.inf)
+            i, j = np.argwhere(bad)[0]
+            w = wits[i][j]
             return ProbeReport(
                 "RFC",
                 "refuted",
@@ -258,15 +269,8 @@ def classify_rfc(model, C_grid=(0.25, 0.5, 1.0, 2.0), tau_grid=(0.0, 0.5, 1.0, 2
             ratio = cells / np.maximum(prev, 1e-12)
             growing = (ratio >= divergence_ratio) & (cells >= 10.0 * np.max(C_grid))
             if np.any(growing):
-                w = None
-                for i, j in np.argwhere(growing):
-                    if wits[i][j] is not None:
-                        w = wits[i][j]
-                        break
-                else:
-                    i, j = np.argwhere(growing)[0]
-                    w = (np.zeros(model.dim), model.default_signal(), 0.0,
-                         float(cells[i, j]))
+                i, j = np.argwhere(growing)[0]
+                w = wits[i][j]
                 return ProbeReport(
                     "RFC",
                     "refuted",
@@ -361,10 +365,10 @@ def classify_rep(model, h_grid=(0.5,), eps_grid=(0.5,), budget=4, *,
                 final_ratio = deltas[-1] / deltas[-2]
                 total = deltas[-1] / deltas[0]
                 if final_ratio <= collapse_ratio and total <= 0.25:
+                    # a collapse means level 0 of the last magnitude
+                    # exceeded eps, which set the exceedance witness
                     return ProbeReport(
-                        "REP", "refuted", witnesses=(exceed_wit,) if exceed_wit else (
-                            Witness(np.zeros(model.dim), model.default_signal(), 0.0, 0.0,
-                                    note="delta collapse"),),
+                        "REP", "refuted", witnesses=(exceed_wit,),
                         tables={"eps_delta": eps_delta, "delta_trail": deltas},
                         notes=(
                             f"passing delta collapses under the magnitude sweep at "
@@ -405,25 +409,10 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
     if notion not in ("weak_attractive", "uniform_weak_attractive", "UGATT", "US", "UGAS"):
         raise ValueError(f"notion {notion!r} not probeable here")
 
-    def collect(r, n_budget, seed_salt=0):
-        # full trajectories are summarized immediately (start, signal,
-        # times, norms, escape) so high-dimensional probes stay cheap
+    def collect(r, seed_salt=0):
         rng = sub_rng(seed, 29, seed_salt, int(r * 1e6) % 1000003)
-        states = _sphere_states(rng, model.dim, r, n_budget, extra=extra_directions)
-        signals = model.disturbance_set.probe_signals(
-            rng, horizon, n_budget, pieces=pieces, magnitude=magnitude)
-        out = []
-        for x in states:
-            for d in signals:
-                traj = _confirmed_flow(model, horizon, x, d, step)
-                out.append(_TrajSummary(
-                    x0=np.array(traj.states[0]),
-                    signal=traj.signal,
-                    times=traj.times,
-                    norms=traj.norms(model.norm),
-                    escaped=traj.escaped,
-                ))
-        return out
+        return _sample(model, rng, r, budget, budget, horizon, magnitude=magnitude,
+                       pieces=pieces, step=step, extra=extra_directions)
 
     if notion == "US":
         eps_delta = {}
@@ -431,7 +420,7 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
             delta = float(eps)
             found = None
             for _ in range(20):
-                trajs = collect(delta, budget, seed_salt=1)
+                trajs = collect(delta, seed_salt=1)
                 worst = 0.0
                 for tr in trajs:
                     if tr.escaped is not None:
@@ -452,8 +441,8 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
     # trajectory-driven notions
     taus = {}
     for r in r_grid:
-        trajs = collect(r, budget)
-        for tr in trajs:
+        taus[r] = []
+        for tr in collect(r):
             if tr.escaped is not None and notion in ("UGAS", "UGATT"):
                 return ProbeReport(
                     notion, "refuted",
@@ -461,7 +450,7 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
                                        note="finite escape"),),
                     notes="escaped trajectory",
                 )
-        taus[r] = trajs
+            taus[r].append(tr)
 
     if notion == "UGAS":
         witnesses = []
@@ -524,7 +513,7 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
                 for doubling in range(1, 4):
                     if not np.isfinite(tau_prev):
                         break
-                    trajs = trajs + collect(r, budget, seed_salt=doubling)
+                    trajs = trajs + list(collect(r, seed_salt=doubling))
                     tau_cur, _ = last_exceed(trajs)
                     if not np.isfinite(tau_cur):
                         break
@@ -675,14 +664,10 @@ def estimate_switched_bound(model, horizon=10.0, budget=12, *, h_period=1.0,
     rng = sub_rng(seed, 41)
     sigs = _switching_signals(model, rng, horizon, budget, h_period)
     t_grid = np.linspace(0.0, horizon, t_samples)[1:]
-    k = np.zeros(t_grid.size)
-    arg = [None] * t_grid.size
-    for d in sigs:
-        for j, t in enumerate(t_grid):
-            nrm = float(np.linalg.norm(evolve(model, d, float(t)), 2))
-            if nrm > k[j]:
-                k[j] = nrm
-                arg[j] = d
+    # norms[s, j] = ||Phi_d(t_j, 0)|| for signal s
+    norms = np.array([[float(np.linalg.norm(evolve(model, d, float(t)), 2)) for t in t_grid]
+                      for d in sigs])
+    k = norms.max(axis=0)
     logs = np.log(np.maximum(k, 1e-300))
     omega = float(np.polyfit(t_grid, logs, 1)[0])
     logM = float(np.max(logs - omega * t_grid))
@@ -694,13 +679,8 @@ def estimate_switched_bound(model, horizon=10.0, budget=12, *, h_period=1.0,
     for d in sigs:
         for t in period_ts:
             M_tilde = max(M_tilde, float(np.linalg.norm(evolve(model, d, float(t)), 2)))
-    chain_ratio = 0.0
-    for d in sigs[: min(len(sigs), 6)]:
-        for t in t_grid:
-            kk = int(np.floor(t / h_period))
-            bound = M_tilde ** (kk + 1)
-            chain_ratio = max(chain_ratio,
-                              float(np.linalg.norm(evolve(model, d, float(t)), 2)) / bound)
-    witness = arg[-1] if arg[-1] is not None else sigs[0]
+    bounds = np.array([M_tilde ** (int(np.floor(t / h_period)) + 1) for t in t_grid])
+    chain_ratio = float(np.max(norms[:6] / bounds))
+    witness = sigs[int(np.argmax(norms[:, -1]))]
     return SwitchedBoundFit(M, omega, float(M_tilde), float(h_period),
-                            float(chain_ratio), witness)
+                            chain_ratio, witness)

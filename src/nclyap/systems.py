@@ -13,6 +13,7 @@ reported through the trajectory's ``escaped`` bracket.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -26,8 +27,6 @@ __all__ = [
     "EscapeError",
     "LipschitzHint",
     "flow",
-    "shift_signal",
-    "concat_signal",
     "check_axioms",
     "check_homogeneity",
     "AxiomReport",
@@ -89,16 +88,14 @@ class DisturbanceSignal:
             raise ValueError("breakpoints must start at 0")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+            raise ValueError("signal values must be finite")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def constant(cls, value):
         return cls((0.0,), (value,))
-
-    @property
-    def tail_value(self):
-        return self.values[-1]
 
     def value_at(self, t):
         if t < 0:
@@ -146,16 +143,6 @@ class DisturbanceSignal:
         return cls(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
-def shift_signal(d, tau):
-    """Time shift ``d(. + tau)``; breakpoints before tau are dropped."""
-    return d.shift(tau)
-
-
-def concat_signal(d1, d2, t):
-    """Concatenation of two signals at time t."""
-    return d1.concat(d2, t)
-
-
 # ---------------------------------------------------------------------------
 # disturbance value sets
 # ---------------------------------------------------------------------------
@@ -166,18 +153,17 @@ class DisturbanceSet:
 
     kind "interval": scalar values in [lo, hi] (lo/hi may be +-inf, in
     which case probes sweep a magnitude parameter); kind "finite": an
-    explicit tuple of values (e.g. mode indices of a switched system);
-    kind "box": componentwise interval in R^m.
+    explicit tuple of values (e.g. mode indices of a switched system).
     """
 
     kind: str
-    lo: float | np.ndarray | None = None
-    hi: float | np.ndarray | None = None
+    lo: float | None = None
+    hi: float | None = None
     members: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("interval", "finite", "box"):
-            raise ValueError("kind must be interval, finite or box")
+        if self.kind not in ("interval", "finite"):
+            raise ValueError("kind must be interval or finite")
         if self.kind == "finite" and not self.members:
             raise ValueError("finite set needs members")
 
@@ -197,7 +183,7 @@ class DisturbanceSet:
     def bounded(self):
         if self.kind == "finite":
             return True
-        return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
+        return bool(np.isfinite(self.lo) and np.isfinite(self.hi))
 
     def clipped(self, magnitude):
         """Effective bounds at a sweep magnitude (for unbounded sets)."""
@@ -209,27 +195,14 @@ class DisturbanceSet:
         if self.kind == "finite":
             return list(self.members)
         lo, hi = self.clipped(magnitude)
-        if np.ndim(lo) == 0:
-            vals = {float(lo), float(hi), 0.0} if lo <= 0.0 <= hi else {float(lo), float(hi)}
-            return sorted(vals)
-        # box: enumerate sign-combination corners, capped to keep probe
-        # budgets bounded in high dimension
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        m = lo.size
-        if 2**m <= 16:
-            from itertools import product
-
-            return [np.array(c) for c in product(*zip(lo, hi))]
-        return [lo, hi, 0.5 * (lo + hi)]
+        vals = {float(lo), float(hi), 0.0} if lo <= 0.0 <= hi else {float(lo), float(hi)}
+        return sorted(vals)
 
     def sample_value(self, rng, magnitude=1.0):
         if self.kind == "finite":
             return self.members[rng.integers(len(self.members))]
         lo, hi = self.clipped(magnitude)
-        if np.ndim(lo) == 0:
-            return float(rng.uniform(lo, hi))
-        return rng.uniform(lo, hi)
+        return float(rng.uniform(lo, hi))
 
     def sample_signal(self, rng, horizon, pieces=8, magnitude=1.0):
         """Random piecewise-constant signal with switch times on a uniform grid."""
@@ -240,7 +213,7 @@ class DisturbanceSet:
 
     def probe_signals(self, rng, horizon, budget, pieces=8, magnitude=1.0):
         """Corner constants plus ``budget`` random piecewise-constant signals."""
-        if self.kind == "interval" and np.ndim(self.lo) == 0 and self.lo == self.hi:
+        if self.kind == "interval" and self.lo == self.hi:
             # degenerate (undisturbed) set: every signal is the same constant
             return [DisturbanceSignal.constant(float(self.lo))]
         sigs = [DisturbanceSignal.constant(v) for v in self.corner_values(magnitude)]
@@ -251,6 +224,12 @@ class DisturbanceSet:
 # ---------------------------------------------------------------------------
 # system models and trajectories
 # ---------------------------------------------------------------------------
+
+def _euclidean_norm(x):
+    # float(np.linalg.norm(x)) bit for bit, without its per-call dispatch
+    x = np.asarray(x, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
+
 
 @dataclass(frozen=True)
 class SystemModel:
@@ -277,25 +256,21 @@ class SystemModel:
         if (self.rhs is None) == (self.propagator is None):
             raise ValueError("supply exactly one of rhs or propagator")
         if self.norm is None:
-            object.__setattr__(self, "norm", lambda x: float(np.linalg.norm(x)))
+            object.__setattr__(self, "norm", _euclidean_norm)
 
     def state(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.dim,):
             raise ValueError(f"state must have shape ({self.dim},)")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("state must be finite")
         return x
 
     def default_signal(self):
         if self.disturbance_set.kind == "finite":
             return DisturbanceSignal.constant(self.disturbance_set.members[0])
         lo, hi = self.disturbance_set.clipped(1.0)
-        mid = np.where((lo <= 0.0) & (hi >= 0.0), 0.0, 0.5 * (lo + hi))
-        if np.ndim(mid) == 0:
-            return DisturbanceSignal.constant(float(mid))
-        return DisturbanceSignal.constant(np.asarray(mid, dtype=float))
-
-    def descriptor(self):
-        return dict(self.meta) or {"kind": "opaque", "name": self.name}
+        return DisturbanceSignal.constant(0.0 if lo <= 0.0 <= hi else float(0.5 * (lo + hi)))
 
 
 @dataclass(frozen=True)
@@ -343,6 +318,11 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+def _as_system(model):
+    """The ``SystemModel`` behind a model wrapper that exposes ``.system``."""
+    return getattr(model, "system", model)
+
+
 def _segment_nodes(t0, t1, step):
     """Fixed-step nodes covering [t0, t1], last step shortened to land on t1."""
     n_full = int(np.floor((t1 - t0) / step + 1e-12))
@@ -380,24 +360,23 @@ def flow(model, t, x, d=None, step=1e-3, explosion_threshold=DEFAULT_EXPLOSION_T
     seg_edges = [0.0] + d.switch_times(0.0, t) + [t]
     escaped = None
     cur = x
+    norm, f, propagator = model.norm, model.rhs, model.propagator
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for s0, s1 in zip(seg_edges, seg_edges[1:]):
             dval = d.value_at(s0)
             prev_t = s0
             for node in _segment_nodes(s0, s1, step):
                 h = node - prev_t
-                if model.propagator is not None:
-                    nxt = model.propagator(dval, h)(cur)
+                if propagator is not None:
+                    nxt = propagator(dval, h)(cur)
                 else:
-                    f = model.rhs
                     k1 = f(cur, dval)
                     k2 = f(cur + 0.5 * h * k1, dval)
                     k3 = f(cur + 0.5 * h * k2, dval)
                     k4 = f(cur + h * k3, dval)
                     nxt = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
                 nxt = np.asarray(nxt, dtype=float)
-                finite = bool(np.all(np.isfinite(nxt)))
-                if not finite or model.norm(nxt) > explosion_threshold:
+                if not np.isfinite(nxt).all() or norm(nxt) > explosion_threshold:
                     escaped = (prev_t, node)
                     break
                 times.append(node)
@@ -406,7 +385,7 @@ def flow(model, t, x, d=None, step=1e-3, explosion_threshold=DEFAULT_EXPLOSION_T
                 prev_t = node
             if escaped is not None:
                 break
-    return Trajectory(np.array(times), np.vstack(states), d, escaped=escaped)
+    return Trajectory(np.array(times), np.array(states), d, escaped=escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +460,7 @@ def check_axioms(model, sample_budget=10, tol=1e-6, *, seed=0, step=1e-3,
         tr0 = flow(model, 0.0, x, d, step=step)
         id_max = max(id_max, float(np.max(np.abs(tr0.final_state - x), initial=0.0)))
         # causality: signals agreeing on [0, t+h] give identical flows
-        d_tilde = concat_signal(d, d_other, t + h)
+        d_tilde = d.concat(d_other, t + h)
         again = flow(model, t + h, x, d_tilde, step=step)
         ca_max = max(ca_max, float(np.max(np.abs(again.final_state - direct.final_state))))
         # cocycle: phi(h, phi(t, x, d), d(t+.)) == phi(t+h, x, d)
@@ -489,7 +468,7 @@ def check_axioms(model, sample_budget=10, tol=1e-6, *, seed=0, step=1e-3,
         if first.escaped is not None:
             escaped += 1
             continue
-        second = flow(model, h, first.final_state, shift_signal(d, t), step=step)
+        second = flow(model, h, first.final_state, d.shift(t), step=step)
         if second.escaped is not None:
             escaped += 1
             continue

@@ -103,6 +103,27 @@ class TestVkIntegral:
         with pytest.raises(ValueError):
             construct_vk_integral(decay_linear(), 0, identity_config())
 
+    def test_signal_set_frozen_across_states(self, monkeypatch):
+        # V_k maximises over one fixed family: x and 4x see the same signals
+        import nclyap.converse as converse
+
+        seen = []
+
+        def recording_flow(model, t, x, d=None, **kw):
+            seen.append(d)
+            return flow(model, t, x, d, **kw)
+
+        monkeypatch.setattr(converse, "flow", recording_flow)
+        sw = build_switched_linear([[[-1.0, 0.0], [0.0, -2.0]], [[-1.5, 0.5], [0.0, -0.8]]])
+        vk = construct_vk_integral(sw.system, 2, identity_config(disturbance_budget=4))
+        x = np.array([0.6, 0.3])
+        vk(x)
+        near = list(seen)
+        seen.clear()
+        vk(4.0 * x)
+        assert len(near) == 6  # two corner modes, four random patterns
+        assert seen == near
+
 
 class TestVkMax:
     def test_golden_value_from_oracle(self):

@@ -220,6 +220,10 @@ class TestProbeReport:
         with pytest.raises(ValueError):
             ProbeReport("RFC", "refuted")
 
+    def test_none_witness_rejected(self):
+        with pytest.raises(ValueError):
+            ProbeReport("REP", "refuted", witnesses=(None,))
+
     def test_json_serialization_includes_signal(self):
         model = build_scalar_example("ii")
         report = classify_rfc(model, budget=3, seed=0, step=2e-2)
@@ -227,3 +231,53 @@ class TestProbeReport:
         assert data["verdict"] == "refuted"
         sig = data["witnesses"][0]["signal"]
         DisturbanceSignal.from_json(sig)  # replayable
+
+
+# Verdicts (UGAS, UGATT, weak_attractive, RFC, REP) at magnitude 1, seed 0,
+# horizon 2, budget 3 and step 2e-2, recorded before the probes shared one
+# sampling path.  The blow-up model is pinned on RFC (its escape witness)
+# and REP only, because its attractivity probes are slow.
+GOLDEN_VERDICTS = {
+    "scalar-i": ("inconclusive", "refuted", "refuted", "consistent", "consistent"),
+    "scalar-ii": ("refuted", "refuted", "refuted", "consistent", "consistent"),
+    "scalar-iii": ("refuted", "refuted", "refuted", "consistent", "consistent"),
+    "scalar-iv": ("refuted", "refuted", "refuted", "consistent", "consistent"),
+    "ugatt": ("consistent", "consistent", "consistent", "consistent", "consistent"),
+    "l2-block": ("inconclusive", "refuted", "refuted", "consistent", "consistent"),
+    "linear": ("inconclusive", "refuted", "refuted", "consistent", "consistent"),
+    "switched": ("inconclusive", "refuted", "refuted", "consistent", "consistent"),
+    "blowup": (None, None, None, "refuted", "consistent"),
+}
+
+
+def test_golden_verdicts():
+    from nclyap.models import build_blowup_example
+
+    models = {
+        "scalar-i": build_scalar_example("i"),
+        "scalar-ii": build_scalar_example("ii"),
+        "scalar-iii": build_scalar_example("iii"),
+        "scalar-iv": build_scalar_example("iv"),
+        "ugatt": build_ugatt_example(),
+        "l2-block": build_l2_block_model(12, 0.0).system,
+        "linear": build_linear([[-1.0]]),
+        "switched": build_switched_linear([[[-1.0, 0.0], [0.0, -2.0]],
+                                           [[-1.5, 0.5], [0.0, -0.8]]]).system,
+        "blowup": build_blowup_example(3.0)[0],
+    }
+    probes = {
+        "UGAS": lambda m: probe_attractivity(m, "UGAS", budget=3, horizon=2.0, seed=0,
+                                             magnitude=1.0, step=2e-2),
+        "UGATT": lambda m: probe_attractivity(m, "UGATT", budget=3, horizon=2.0, seed=0,
+                                              magnitude=1.0, step=2e-2),
+        "weak_attractive": lambda m: probe_attractivity(m, "weak_attractive", budget=3,
+                                                        horizon=2.0, seed=0,
+                                                        magnitude=1.0, step=2e-2),
+        "RFC": lambda m: classify_rfc(m, budget=3, seed=0, step=2e-2, magnitudes=(1.0,)),
+        "REP": lambda m: classify_rep(m, budget=3, seed=0, step=2e-2, magnitudes=(1.0,)),
+    }
+    got = {}
+    for name, expected in GOLDEN_VERDICTS.items():
+        got[name] = tuple(None if want is None else probe(models[name]).verdict
+                          for want, probe in zip(expected, probes.values()))
+    assert got == GOLDEN_VERDICTS

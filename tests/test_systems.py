@@ -11,9 +11,7 @@ from nclyap.systems import (
     SystemModel,
     check_axioms,
     check_homogeneity,
-    concat_signal,
     flow,
-    shift_signal,
 )
 
 
@@ -36,38 +34,38 @@ class TestDisturbanceSignal:
         assert d(1.0) == "b"
         assert d(2.0) == "c"
         assert d(100.0) == "c"
-        assert d.tail_value == "c"
+        assert d.values[-1] == "c"
 
     def test_shift_by_zero_is_identity(self):
         d = DisturbanceSignal((0.0, 1.0), (1.0, 2.0))
-        assert shift_signal(d, 0.0) is d
+        assert d.shift(0.0) is d
 
     def test_shift_drops_early_breakpoints(self):
         d = DisturbanceSignal((0.0, 1.0, 2.0), ("a", "b", "c"))
-        s = shift_signal(d, 1.5)
+        s = d.shift(1.5)
         assert s.breakpoints == (0.0, 0.5)
         assert s.values == ("b", "c")
 
     def test_shift_past_all_breakpoints(self):
         d = DisturbanceSignal((0.0, 1.0), (1.0, 7.0))
-        s = shift_signal(d, 5.0)
+        s = d.shift(5.0)
         assert s.breakpoints == (0.0,)
         assert s.values == (7.0,)
 
     def test_concat_constant_with_itself(self):
         d = DisturbanceSignal.constant(3.0)
-        c = concat_signal(d, d, 1.0)
+        c = d.concat(d, 1.0)
         assert all(c(t) == 3.0 for t in (0.0, 0.5, 1.0, 2.0))
 
     def test_concat_two_constants(self):
-        c = concat_signal(DisturbanceSignal.constant("a"), DisturbanceSignal.constant("b"), 1.0)
+        c = DisturbanceSignal.constant("a").concat(DisturbanceSignal.constant("b"), 1.0)
         assert c.breakpoints == (0.0, 1.0)
         assert c.values == ("a", "b")
 
     def test_shift_after_concat_recovers_second_signal(self):
         d1 = DisturbanceSignal((0.0, 0.3), (1.0, 2.0))
         d2 = DisturbanceSignal((0.0, 0.7, 1.1), (5.0, 6.0, 7.0))
-        back = shift_signal(concat_signal(d1, d2, 1.0), 1.0)
+        back = d1.concat(d2, 1.0).shift(1.0)
         for t in np.linspace(0, 3, 31):
             assert back(float(t)) == d2(float(t))
 
@@ -76,7 +74,14 @@ class TestDisturbanceSignal:
     def test_concat_shift_property(self, cut, t):
         d1 = DisturbanceSignal((0.0, 1.0), (1.0, -1.0))
         d2 = DisturbanceSignal((0.0, 0.5), (2.0, 3.0))
-        assert shift_signal(concat_signal(d1, d2, cut), cut)(t) == d2(t)
+        assert d1.concat(d2, cut).shift(cut)(t) == d2(t)
+
+    def test_rejects_non_finite_float_values(self):
+        for bad in (float("nan"), float("inf"), np.float64(-np.inf)):
+            with pytest.raises(ValueError):
+                DisturbanceSignal.constant(bad)
+        # mode indices and labels are not floats and pass unchecked
+        assert DisturbanceSignal((0.0, 1.0), (1, "b")).values == (1, "b")
 
     def test_json_roundtrip(self):
         d = DisturbanceSignal((0.0, 1.5), (0.25, -2.0))
@@ -118,6 +123,13 @@ class TestFlow:
         lo, hi = traj.escaped
         assert 0 <= lo < hi <= 5.0
         assert np.all(np.isfinite(traj.states))
+
+    def test_non_finite_start_state_raises(self):
+        # a NaN start must not pass as a finite escape at the first step
+        model = build_scalar_example("iv")
+        for bad in ([np.nan], [np.inf]):
+            with pytest.raises(ValueError):
+                flow(model, 1.0, bad, step=0.1)
 
     def test_segment_split_at_breakpoints(self):
         model = build_scalar_example("ii")
