@@ -9,6 +9,7 @@ fields for the fixed-step integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -29,6 +30,19 @@ __all__ = [
     "SwitchedLinearModel",
     "model_from_descriptor",
 ]
+
+
+# Entries an expm cache keeps before it drops its oldest: every new flow
+# horizon ends on a step size of its own, so the keys never stop coming.
+_EXPM_CACHE_SIZE = 32
+
+
+def _cached_expm(cache, key, A, dt):
+    if key not in cache:
+        if len(cache) >= _EXPM_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[key] = expm(A * dt)
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +212,8 @@ class _BlowupData:
         out = np.where(inner, v_in, v_out)
         return float(out) if out.ndim == 0 else out
 
-    def F(self, z):
+    def _field(self, z):
+        """F(z) and the rate of V along it, from one evaluation of psi^{-1}."""
         z = np.asarray(z, dtype=float)
         z1, z2 = z[..., 0], z[..., 1]
         inner = z1 > -1.0
@@ -209,25 +224,26 @@ class _BlowupData:
             0.0,
         )
         f2 = np.where(inner, self.delta(x1) - self.eps2(z2), -1.0 - self.eps2(z2))
-        return np.stack([f1, f2], axis=-1)
-
-    def vdot_along_F(self, z):
-        """Analytic derivative of V along z' = F(z); continuous across z1 = -1."""
-        z = np.asarray(z, dtype=float)
-        z1, z2 = z[..., 0], z[..., 1]
-        inner = z1 > -1.0
-        x1 = self.psi_inverse(np.where(inner, z1, 0.0))
         vin = self.rho_prime(self.v1(x1, z2)) * self.v1_dot(x1, z2) + self.w_bump_dot(
             x1, z2
         )
         vout = (-1.0 - self.eps2(z2)) * (2.0 / np.pi) / (1.0 + z2 * z2)
-        out = np.where(inner, vin, vout)
+        return np.stack([f1, f2], axis=-1), np.where(inner, vin, vout)
+
+    def F(self, z):
+        return self._field(z)[0]
+
+    def vdot_along_F(self, z):
+        """Analytic derivative of V along z' = F(z); continuous across z1 = -1."""
+        out = self._field(z)[1]
         return float(out) if out.ndim == 0 else out
 
     def h(self, z):
-        z = np.asarray(z, dtype=float)
+        return self._h(np.asarray(z, dtype=float), self.vdot_along_F(z))
+
+    @staticmethod
+    def _h(z, vd):
         n = np.linalg.norm(z, axis=-1)
-        vd = self.vdot_along_F(z)
         blend = _smoothstep01(n - 1.0)  # 0 on ||z|| <= 1, 1 beyond 2
         # vd < 0 wherever blend > 0 (the rate only vanishes at the origin),
         # so the ratio is only formed where it is finite
@@ -238,8 +254,8 @@ class _BlowupData:
         return np.maximum(1.0, blend * ratio)
 
     def F2(self, z):
-        h = self.h(z)
-        return np.asarray(h)[..., None] * self.F(z)
+        f, vd = self._field(z)
+        return np.asarray(self._h(np.asarray(z, dtype=float), vd))[..., None] * f
 
 
 def blowup_construction(c=3.0):
@@ -308,6 +324,11 @@ def _block_matrix(i, epsilon):
     return A
 
 
+def _row(i):
+    """Slice of block i + 1 (row i of the lower triangle) in the flat state."""
+    return slice(i * (i + 1) // 2, (i + 1) * (i + 2) // 2)
+
+
 @dataclass(frozen=True)
 class BlockOperatorModel:
     """Truncation of the block-diagonal operator with bidiagonal blocks.
@@ -317,11 +338,16 @@ class BlockOperatorModel:
     forms through matrices P_i normalized to unit spectral norm.  The tail
     blocks beyond the truncation are exactly zero for states supported on
     the first ``n_blocks`` blocks, so the truncation is exact there.
+
+    Block i is the leading i x i corner of ``generator`` (block n), and
+    expm(A_i t) that of expm(generator t).  The state is the lower triangle
+    of an n x n array in ``np.tril_indices(n)`` order (block i is row i - 1),
+    so one product with ``expm(generator dt).T`` advances every block.
     """
 
     n_blocks: int
     epsilon: float
-    blocks: tuple
+    generator: np.ndarray
     lyapunov_blocks: tuple
     _expm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -329,41 +355,27 @@ class BlockOperatorModel:
     def dim(self):
         return self.n_blocks * (self.n_blocks + 1) // 2
 
-    @property
-    def offsets(self):
-        out = [0]
-        for i in range(1, self.n_blocks + 1):
-            out.append(out[-1] + i)
-        return out
-
-    def split(self, x):
-        off = self.offsets
-        return [x[off[i]:off[i + 1]] for i in range(self.n_blocks)]
-
-    def _propagators(self, dt):
-        key = float(dt)
-        if key not in self._expm_cache:
-            self._expm_cache[key] = [expm(A * dt) for A in self.blocks]
-        return self._expm_cache[key]
+    @cached_property
+    def _tril(self):
+        # where the state's entries sit in the n x n array
+        return np.tri(self.n_blocks, dtype=bool)
 
     def propagator(self, _d, dt):
-        mats = self._propagators(dt)
-        off = self.offsets
+        ET = _cached_expm(self._expm_cache, float(dt), self.generator, dt).T
+        tril = self._tril
 
         def advance(x):
-            out = np.empty_like(x)
-            for i, E in enumerate(mats):
-                out[off[i]:off[i + 1]] = E @ x[off[i]:off[i + 1]]
-            return out
+            X = np.zeros(tril.shape)
+            X[tril] = x
+            return (X @ ET)[tril]
 
         return advance
 
     def V(self, x):
         x = np.asarray(x, dtype=float)
         total = 0.0
-        off = self.offsets
         for i, P in enumerate(self.lyapunov_blocks):
-            xi = x[off[i]:off[i + 1]]
+            xi = x[_row(i)]
             total += float(xi @ P @ xi)
         return total
 
@@ -375,11 +387,10 @@ class BlockOperatorModel:
     def witness_directions(self):
         """Unit vectors hitting each block's smallest-eigenvalue eigendirection."""
         dirs = []
-        off = self.offsets
         for i, P in enumerate(self.lyapunov_blocks):
             w, U = np.linalg.eigh(P)
             v = np.zeros(self.dim)
-            v[off[i]:off[i + 1]] = U[:, 0]
+            v[_row(i)] = U[:, 0]
             dirs.append(v)
         return dirs
 
@@ -390,11 +401,10 @@ class BlockOperatorModel:
         largest block's transient amplification peaks along it.
         """
         i = self.n_blocks - 1 if block is None else block
-        E = expm(self.blocks[i] * t)
+        E = expm(self.generator[:i + 1, :i + 1] * t)
         _, _, vt = np.linalg.svd(E)
         v = np.zeros(self.dim)
-        off = self.offsets
-        v[off[i]:off[i + 1]] = vt[0]
+        v[_row(i)] = vt[0]
         return v
 
     @property
@@ -432,7 +442,6 @@ def build_l2_block_model(n, epsilon=0.0):
         raise ValueError("n must be a positive integer")
     if not (0.0 <= epsilon < 0.5):
         raise ValueError("epsilon must lie in [0, 0.5)")
-    blocks = []
     lyap = []
     for i in range(1, n + 1):
         A0 = _block_matrix(i, 0.0)
@@ -444,9 +453,8 @@ def build_l2_block_model(n, epsilon=0.0):
         if not np.isfinite(resid) or resid > 1e-10 * scale:
             raise RuntimeError(f"Lyapunov solve failed for block {i} (residual {resid:.2e})")
         P = P / np.linalg.norm(P, 2)
-        blocks.append(_block_matrix(i, epsilon))
         lyap.append(P)
-    return BlockOperatorModel(int(n), float(epsilon), tuple(blocks), tuple(lyap))
+    return BlockOperatorModel(int(n), float(epsilon), _block_matrix(n, epsilon), tuple(lyap))
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +480,8 @@ class SwitchedLinearModel:
         return qi
 
     def mode_expm(self, q, dt):
-        key = (self.mode(q), float(dt))
-        if key not in self._expm_cache:
-            self._expm_cache[key] = expm(self.modes[key[0]] * dt)
-        return self._expm_cache[key]
+        q = self.mode(q)
+        return _cached_expm(self._expm_cache, (q, float(dt)), self.modes[q], dt)
 
     def propagator(self, q, dt):
         E = self.mode_expm(q, dt)

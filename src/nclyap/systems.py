@@ -212,12 +212,12 @@ class DisturbanceSet:
         return DisturbanceSignal(bps, vals)
 
     def probe_signals(self, rng, horizon, budget, pieces=8, magnitude=1.0):
-        """Corner constants plus ``budget`` random piecewise-constant signals."""
-        if self.kind == "interval" and self.lo == self.hi:
-            # degenerate (undisturbed) set: every signal is the same constant
-            return [DisturbanceSignal.constant(float(self.lo))]
-        sigs = [DisturbanceSignal.constant(v) for v in self.corner_values(magnitude)]
-        sigs += [self.sample_signal(rng, horizon, pieces, magnitude) for _ in range(budget)]
+        """Corner constants plus ``budget`` random piecewise-constant signals;
+        just the constant when there is one corner (an undisturbed system)."""
+        corners = self.corner_values(magnitude)
+        sigs = [DisturbanceSignal.constant(v) for v in corners]
+        if len(corners) > 1:
+            sigs += [self.sample_signal(rng, horizon, pieces, magnitude) for _ in range(budget)]
         return sigs
 
 

@@ -129,18 +129,20 @@ class TestBlowupExample:
 class TestL2BlockModel:
     def test_block_shapes_and_eigs(self):
         block = build_l2_block_model(5, 0.0)
-        for i, A in enumerate(block.blocks, 1):
+        for i in range(1, 6):
+            A = block.generator[:i, :i]
             assert A.shape == (i, i)
             np.testing.assert_allclose(np.linalg.eigvals(A).real, -1.0, atol=1e-12)
 
     def test_operator_norm_below_two(self):
         block = build_l2_block_model(40, 0.0)
-        for A in block.blocks:
-            assert np.linalg.norm(A, 2) <= 2.0
+        for i in range(1, 41):
+            assert np.linalg.norm(block.generator[:i, :i], 2) <= 2.0
 
     def test_lyapunov_inequality_strict(self):
         block = build_l2_block_model(8, 0.0)
-        for A, P in zip(block.blocks, block.lyapunov_blocks):
+        for i, P in enumerate(block.lyapunov_blocks, 1):
+            A = block.generator[:i, :i]
             Q = A.T @ P + P @ A + P
             assert np.linalg.eigvalsh(Q).max() < 0
             assert np.linalg.norm(P, 2) == pytest.approx(1.0, abs=1e-12)
@@ -180,6 +182,25 @@ class TestL2BlockModel:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             build_l2_block_model(3, 0.7)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    @pytest.mark.parametrize("t,step", [(0.7, 0.7), (2.0, 2.0), (1.37, 1e-2)])
+    def test_flow_matches_per_block_exponentials(self, eps, t, step):
+        # the triangular layout: block i is row i - 1 of the state's lower
+        # triangle, and evolves by its own exponential expm(A_i t)
+        from scipy.linalg import expm
+
+        n = 12
+        block = build_l2_block_model(n, eps)
+        x = np.random.default_rng(7).normal(size=block.dim)
+        ref, start = [], 0
+        for i in range(1, n + 1):
+            A = np.diag(np.full(i, -1.0 + eps)) + np.diag(np.ones(i - 1), 1)
+            ref.append(expm(A * t) @ x[start:start + i])
+            start += i
+        ref = np.concatenate(ref)
+        y = flow(block.system, t, x, step=step).final_state
+        assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestSwitchedLinear:
@@ -233,6 +254,21 @@ class TestSwitchedLinear:
         d = DisturbanceSignal((0.0, 0.5), (0, 1))
         traj = flow(sw.system, 1.0, [2.0], d, step=0.1)
         assert traj.final_state[0] == pytest.approx(2.0 * np.exp(-0.5) * np.exp(-1.5), abs=1e-12)
+
+
+def test_expm_caches_stay_bounded():
+    from nclyap import models
+
+    rng = np.random.default_rng(0)
+    block = build_l2_block_model(6, 0.25)
+    pair = build_switched_linear([[[-1.0, 0.0], [0.0, -2.0]], [[-1.5, 0.5], [0.0, -0.8]]])
+    for _ in range(500):
+        t = float(rng.uniform(0.05, 1.0))
+        flow(block.system, t, rng.normal(size=block.dim), step=0.1)
+        d = DisturbanceSignal((0.0, float(rng.uniform(0.0, t))), (0, 1))
+        flow(pair.system, t, rng.normal(size=2), d, step=0.1)
+        for model in (block, pair):
+            assert 0 < len(model._expm_cache) <= models._EXPM_CACHE_SIZE
 
 
 class TestDescriptors:
