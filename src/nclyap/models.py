@@ -335,20 +335,23 @@ class BlockOperatorModel:
 
     Block i is the i x i matrix with -1 + epsilon on the diagonal and 1 on
     the superdiagonal; the attached quadratic functional sums the per-block
-    forms through matrices P_i normalized to unit spectral norm.  The tail
-    blocks beyond the truncation are exactly zero for states supported on
-    the first ``n_blocks`` blocks, so the truncation is exact there.
+    forms through P_i, the leading i x i corner of ``lyapunov`` over its
+    spectral norm ``lyapunov_norms[i - 1]``.  The tail blocks beyond the
+    truncation are exactly zero for states supported on the first
+    ``n_blocks`` blocks, so the truncation is exact there.
 
     Block i is the leading i x i corner of ``generator`` (block n), and
     expm(A_i t) that of expm(generator t).  The state is the lower triangle
     of an n x n array in ``np.tril_indices(n)`` order (block i is row i - 1),
-    so one product with ``expm(generator dt).T`` advances every block.
+    so one product with ``expm(generator dt).T`` advances every block, and in
+    V row i - 1 of one product with ``lyapunov`` (block n's P) gives x_i^T P x_i.
     """
 
     n_blocks: int
     epsilon: float
     generator: np.ndarray
-    lyapunov_blocks: tuple
+    lyapunov: np.ndarray
+    lyapunov_norms: np.ndarray
     _expm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -371,28 +374,25 @@ class BlockOperatorModel:
 
         return advance
 
+    def lyapunov_block(self, i):
+        """P_i, the unit-norm Lyapunov matrix of block i (size i, 1 <= i <= n)."""
+        return self.lyapunov[:i, :i] / self.lyapunov_norms[i - 1]
+
     def V(self, x):
-        x = np.asarray(x, dtype=float)
-        total = 0.0
-        for i, P in enumerate(self.lyapunov_blocks):
-            xi = x[_row(i)]
-            total += float(xi @ P @ xi)
-        return total
+        X = np.zeros(self._tril.shape)
+        X[self._tril] = self.system.state(x)
+        return float(((X @ self.lyapunov) * X).sum(axis=1) @ (1.0 / self.lyapunov_norms))
 
     def lambda_mins(self):
-        return np.array(
-            [np.linalg.eigvalsh(P).min() for P in self.lyapunov_blocks]
-        )
+        n = self.n_blocks
+        return np.array([np.linalg.eigvalsh(self.lyapunov_block(i)).min() for i in range(1, n + 1)])
 
     def witness_directions(self):
         """Unit vectors hitting each block's smallest-eigenvalue eigendirection."""
-        dirs = []
-        for i, P in enumerate(self.lyapunov_blocks):
-            w, U = np.linalg.eigh(P)
-            v = np.zeros(self.dim)
-            v[_row(i)] = U[:, 0]
-            dirs.append(v)
-        return dirs
+        dirs = np.zeros((self.n_blocks, self.dim))
+        for i in range(self.n_blocks):
+            dirs[i, _row(i)] = np.linalg.eigh(self.lyapunov_block(i + 1))[1][:, 0]
+        return list(dirs)
 
     def singular_direction(self, t, block=None):
         """Top right-singular direction of the block propagator at time t.
@@ -407,7 +407,7 @@ class BlockOperatorModel:
         v[_row(i)] = vt[0]
         return v
 
-    @property
+    @cached_property
     def system(self):
         return SystemModel(
             name=f"l2-block-n{self.n_blocks}-eps{self.epsilon}",
@@ -436,25 +436,25 @@ def build_l2_block_model(n, epsilon=0.0):
     epsilon = 0, then is rescaled to unit spectral norm, which yields
     A_i^T P_i + P_i A_i < -P_i strictly.  The solve happens on the
     epsilon = 0 blocks regardless of epsilon: the same P_i witness the
-    shifted decay rate 2 epsilon - 1 for the epsilon variant.
+    shifted decay rate 2 epsilon - 1 for the epsilon variant.  One solve
+    serves every block: M_i = A_i + I/2 is upper-triangular and the leading
+    corner of M_n, so the i x i corner of block n's equation is block i's.
     """
     if n < 1 or int(n) != n:
         raise ValueError("n must be a positive integer")
     if not (0.0 <= epsilon < 0.5):
         raise ValueError("epsilon must lie in [0, 0.5)")
-    lyap = []
+    M = _block_matrix(n, 0.5)  # A_n + I/2 at epsilon = 0
+    P = solve_continuous_lyapunov(M.T, -np.eye(n))
+    P = 0.5 * (P + P.T)
+    R = M.T @ P + P @ M + np.eye(n)
+    norms = np.array([np.linalg.norm(P[:i, :i], 2) for i in range(1, n + 1)])
     for i in range(1, n + 1):
-        A0 = _block_matrix(i, 0.0)
-        M = A0 + 0.5 * np.eye(i)
-        P = solve_continuous_lyapunov(M.T, -np.eye(i))
-        P = 0.5 * (P + P.T)
-        resid = np.linalg.norm(M.T @ P + P @ M + np.eye(i), 2)
-        scale = 1.0 + 2.0 * np.linalg.norm(M, 2) * np.linalg.norm(P, 2)
+        resid = np.linalg.norm(R[:i, :i], 2)
+        scale = 1.0 + 2.0 * np.linalg.norm(M[:i, :i], 2) * norms[i - 1]
         if not np.isfinite(resid) or resid > 1e-10 * scale:
             raise RuntimeError(f"Lyapunov solve failed for block {i} (residual {resid:.2e})")
-        P = P / np.linalg.norm(P, 2)
-        lyap.append(P)
-    return BlockOperatorModel(int(n), float(epsilon), _block_matrix(n, epsilon), tuple(lyap))
+    return BlockOperatorModel(int(n), float(epsilon), _block_matrix(n, epsilon), P, norms)
 
 
 # ---------------------------------------------------------------------------

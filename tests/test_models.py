@@ -14,7 +14,7 @@ from nclyap.models import (
 )
 from nclyap.systems import DisturbanceSignal, flow
 
-from _oracles import exact_lambda_min_normalized
+from _oracles import exact_lambda_min_normalized, integer_lyapunov_block
 
 
 class TestScalarExamples:
@@ -141,11 +141,57 @@ class TestL2BlockModel:
 
     def test_lyapunov_inequality_strict(self):
         block = build_l2_block_model(8, 0.0)
-        for i, P in enumerate(block.lyapunov_blocks, 1):
+        for i in range(1, 9):
+            P = block.lyapunov_block(i)
             A = block.generator[:i, :i]
             Q = A.T @ P + P @ A + P
             assert np.linalg.eigvalsh(Q).max() < 0
             assert np.linalg.norm(P, 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_solve_matches_per_block_solves(self):
+        # block i's Lyapunov matrix is the leading corner of block n's; this
+        # pins that the corners equal per-block solves bit for bit, blocks
+        # 22-30 (where float lambda_min drifts off the exact value) included
+        from scipy.linalg import solve_continuous_lyapunov
+
+        n = 30
+        block = build_l2_block_model(n, 0.0)
+        lam = block.lambda_mins()
+        for i in range(1, n + 1):
+            M = np.diag(np.full(i, -0.5)) + np.diag(np.ones(i - 1), 1)
+            P = solve_continuous_lyapunov(M.T, -np.eye(i))
+            P = 0.5 * (P + P.T)
+            P = P / np.linalg.norm(P, 2)
+            assert np.array_equal(block.lyapunov_block(i), P), i
+            assert lam[i - 1] == np.linalg.eigvalsh(P).min(), i
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_v_matches_integer_oracle(self, n):
+        block = build_l2_block_model(n, 0.0)
+        Ps = []
+        for i in range(1, n + 1):
+            P = np.array(integer_lyapunov_block(i), dtype=float)
+            Ps.append(P / np.linalg.norm(P, 2))
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            x = rng.normal(size=block.dim)
+            ref, start = 0.0, 0
+            for i, P in enumerate(Ps, 1):
+                xi = x[start:start + i]
+                ref += xi @ P @ xi
+                start += i
+            assert abs(block.V(x) - ref) <= 1e-13 * ref
+        assert block.V(np.zeros(block.dim)) == 0.0
+
+    def test_v_rejects_bad_states(self):
+        block = build_l2_block_model(5, 0.0)
+        dim = block.dim
+        for x in (np.ones(dim + 4), np.ones(dim - 1), np.ones((dim, 1)),
+                  np.full(dim, np.nan), np.r_[np.inf, np.ones(dim - 1)]):
+            with pytest.raises(ValueError):
+                block.V(x)
+        with pytest.raises(ValueError):
+            block.candidate(np.ones(dim + 4))
 
     def test_lambda_min_matches_exact_oracle(self):
         block = build_l2_block_model(12, 0.0)
