@@ -31,6 +31,7 @@ from .systems import (
     check_axioms,
     check_homogeneity,
     flow,
+    flow_batch,
 )
 from .models import (
     BlockOperatorModel,

@@ -31,7 +31,7 @@ from .models import (
     model_from_descriptor,
 )
 from .probes import classify_rep, classify_rfc, estimate_switched_bound, probe_attractivity
-from .systems import DisturbanceSignal, flow
+from .systems import DisturbanceSignal, flow, flow_batch
 from .converse import ConverseConfig, assemble_w
 
 __all__ = ["ExperimentConfig", "run", "main"]
@@ -128,6 +128,14 @@ def _parse_signal(spec):
     return DisturbanceSignal(tuple(p[0] for p in spec), tuple(p[1] for p in spec))
 
 
+def _shell_states(seed, dim, count, r_lo, r_hi):
+    """``count`` states in random directions with norms uniform in [r_lo, r_hi]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        v = rng.normal(size=dim)
+        yield v / np.linalg.norm(v) * rng.uniform(r_lo, r_hi)
+
+
 # ---------------------------------------------------------------------------
 # tasks
 # ---------------------------------------------------------------------------
@@ -185,13 +193,8 @@ def _task_verify(config, outdir, lines):
 
     alpha = power_table(p.get("alpha_power", 1.0), r_max=64.0,
                         scale=p.get("alpha_scale", 1.0))
-    rng = np.random.default_rng(config.seed)
-    n_samples = int(p.get("samples", 20))
     r_lo, r_hi = p.get("radius_range", [1.0, 2.0])
-    xs = []
-    for _ in range(n_samples):
-        v = rng.normal(size=model.dim)
-        xs.append(v / np.linalg.norm(v) * rng.uniform(r_lo, r_hi))
+    xs = _shell_states(config.seed, model.dim, int(p.get("samples", 20)), r_lo, r_hi)
     report = verify_decay(cand, alpha, model, xs, [model.default_signal()],
                           tol=p.get("tol", 1e-3), step=p.get("step", 1e-4))
     _write(outdir, "decay_report.json", report.to_json())
@@ -218,11 +221,8 @@ def _task_construct(config, outdir, lines):
         quadrature_step=p.get("quadrature_step", 1e-3),
         R=p.get("R", 1.0), magnitude=p.get("magnitude", 1.0))
     W = assemble_w(model, cfg, lipschitz_budget=p.get("lipschitz_budget", 6))
-    rng = np.random.default_rng(config.seed)
-    grid = []
-    for _ in range(int(p.get("grid_points", 16))):
-        v = rng.normal(size=model.dim)
-        grid.append(v / np.linalg.norm(v) * rng.uniform(0.2, p.get("R", 1.0)))
+    grid = _shell_states(config.seed, model.dim, int(p.get("grid_points", 16)),
+                         0.2, p.get("R", 1.0))
     _write(outdir, "w_table.csv", W.export_csv(grid))
     _write(outdir, "w_metadata.json", W.export_metadata())
     lines.append(f"assembled W with k_max={cfg.k_max}, weights={[float(w) for w in W.weights]}")
@@ -285,28 +285,23 @@ def _reproduce_ex61(config, outdir, lines):
     model, cand = build_blowup_example(3.0)
     rows = ["z1,z2,escaped,bracket_lo,bracket_hi,final_norm"]
     ok = True
-    for z1 in np.linspace(-4.0, -1.0, 7):
-        for z2 in np.linspace(-2.0, 2.0, 9):
-            traj = flow(model, 12.0, np.array([z1, z2]), step=1e-2)
-            esc = traj.escaped is not None
-            ok = ok and esc
-            lo, hi = traj.escaped if esc else ("", "")
-            fn = model.norm(traj.final_state)
-            rows.append(f"{float(z1)!r},{float(z2)!r},{int(esc)},{lo!r},{hi!r},{fn!r}")
+    grid = [(z1, z2) for z1 in np.linspace(-4.0, -1.0, 7) for z2 in np.linspace(-2.0, 2.0, 9)]
+    for (z1, z2), traj in zip(grid, flow_batch(model, 12.0, grid, step=1e-2)):
+        esc = traj.escaped is not None
+        ok = ok and esc
+        lo, hi = traj.escaped if esc else ("", "")
+        fn = model.norm(traj.final_state)
+        rows.append(f"{float(z1)!r},{float(z2)!r},{int(esc)},{lo!r},{hi!r},{fn!r}")
     _write(outdir, "ex61_escape.csv", "\n".join(rows) + "\n")
     conv_rows = ["z1,z2,final_norm,converged"]
-    for z1, z2 in [(1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (0.5, -1.5), (1.4, 1.4)]:
-        traj = flow(model, 15.0, np.array([z1, z2]), step=5e-3)
+    safe = [(1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (0.5, -1.5), (1.4, 1.4)]
+    for (z1, z2), traj in zip(safe, flow_batch(model, 15.0, safe, step=5e-3)):
         fn = model.norm(traj.final_state)
         conv = traj.escaped is None and fn < 0.01
         ok = ok and conv
         conv_rows.append(f"{z1!r},{z2!r},{fn!r},{int(conv)}")
     _write(outdir, "ex61_convergence.csv", "\n".join(conv_rows) + "\n")
-    rng = np.random.default_rng(config.seed)
-    xs = []
-    for _ in range(12):
-        v = rng.normal(size=2)
-        xs.append(v / np.linalg.norm(v) * rng.uniform(2.0, 4.0))
+    xs = _shell_states(config.seed, 2, 12, 2.0, 4.0)
     report = verify_decay(cand, identity_table(8.0), model, xs,
                           [model.default_signal()], tol=5e-3,
                           h_sequence=np.array([1e-3, 3e-4, 1e-4, 3e-5, 1e-5]),
@@ -328,17 +323,15 @@ def _reproduce_ex62(config, outdir, lines):
     for i, v in enumerate(lam, 1):
         rows.append(f"{i},{float(v)!r}")
     _write(outdir, "ex62_lambda_min.csv", "\n".join(rows) + "\n")
-    rng = np.random.default_rng(config.seed)
     rate = 2 * eps - 1.0
     decay_rows = ["trajectory,t,V_ratio,bound"]
     ok = True
-    for j in range(10):
-        v = rng.normal(size=model.dim)
-        x = v / np.linalg.norm(v) * rng.uniform(0.5, 2.0)
+    for j, x in enumerate(_shell_states(config.seed, model.dim, 10, 0.5, 2.0)):
         v0 = cand(x)
+        # one flow serves all three times: 0.5 and 1.0 are nodes of its grid
+        traj = flow(model, 2.0, x, step=1e-2)
         for t in (0.5, 1.0, 2.0):
-            traj = flow(model, t, x, step=1e-2)
-            ratio = cand(traj.final_state) / v0
+            ratio = cand(traj.state_at(t)) / v0
             bound = float(np.exp(rate * t)) * 1.001
             ok = ok and ratio <= bound
             decay_rows.append(f"{j},{t!r},{ratio!r},{bound!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import EscapeError, flow, sub_rng
+from .systems import EscapeError, flow, flow_batch, sub_rng
 
 __all__ = [
     "LyapunovCandidate",
@@ -100,6 +100,15 @@ def dini_derivative(V, model, x, d=None, h_sequence=None, step=None):
     x = model.state(x)
     if d is None:
         d = model.default_signal()
+    est, escaped = next(_dini_batch(V, model, [x], d, h_sequence, step))
+    if est is None:
+        raise EscapeError("flow escaped within the Dini horizon", witness=(x, d, escaped))
+    return est
+
+
+def _dini_batch(V, model, X, d, h_sequence, step):
+    """``dini_derivative`` from each row of X under d, flowed as one batch:
+    yields ``(estimate, None)``, or ``(None, bracket)`` for a row that escaped."""
     exact_flow = model.propagator is not None
     if h_sequence is None:
         if step is None:
@@ -114,16 +123,15 @@ def dini_derivative(V, model, x, d=None, h_sequence=None, step=None):
     if h_sequence[-1] < step * (1 - 1e-12):
         raise ValueError("h floor must be at least the integrator step")
     h_max = float(h_sequence[0])
-    traj = flow(model, h_max, x, d, step=step)
-    if traj.escaped is not None:
-        raise EscapeError(
-            "flow escaped within the Dini horizon", witness=(x, d, traj.escaped)
+    for x, traj in zip(X, flow_batch(model, h_max, X, d, step=step)):
+        if traj.escaped is not None:
+            yield None, traj.escaped
+            continue
+        v0 = float(V(x))
+        quotients = np.array(
+            [(float(V(traj.state_at(h))) - v0) / h for h in h_sequence]
         )
-    v0 = float(V(x))
-    quotients = np.array(
-        [(float(V(traj.state_at(h))) - v0) / h for h in h_sequence]
-    )
-    return DiniEstimate(float(np.min(quotients)), np.asarray(h_sequence), quotients)
+        yield DiniEstimate(float(np.min(quotients)), np.asarray(h_sequence), quotients), None
 
 
 @dataclass(frozen=True)
@@ -207,15 +215,16 @@ def verify_decay(V, alpha, model, state_samples, disturbance_samples, tol=1e-3,
     Escaped short flows are recorded as failing samples with witnesses
     rather than raising.
     """
+    X = [model.state(x) for x in state_samples]
+    ests = [list(_dini_batch(V, model, X, d, h_sequence, step))
+            for d in disturbance_samples] if X else []
     samples = []
     worst = -np.inf
-    for x in state_samples:
-        x = model.state(x)
+    for i, x in enumerate(X):
         bound = -float(alpha(model.norm(x)))
-        for d in disturbance_samples:
-            try:
-                est = dini_derivative(V, model, x, d, h_sequence=h_sequence, step=step)
-            except EscapeError:
+        for d, batch in zip(disturbance_samples, ests):
+            est = batch[i][0]
+            if est is None:
                 samples.append(DecaySample(x, d, np.inf, bound, np.inf, escaped=True))
                 worst = np.inf
                 continue
@@ -255,8 +264,7 @@ def verify_integral_bound(V, alpha, model, x, d=None, horizon=10.0,
             "trajectory escaped before the quadrature horizon",
             witness=(x, traj.signal, traj.escaped),
         )
-    norms = traj.norms(model.norm)
-    g = np.array([float(alpha(n)) for n in norms])
+    g = np.array([float(alpha(n)) for n in traj.norms])
     t = traj.times
     increments = 0.5 * (g[1:] + g[:-1]) * np.diff(t)
     running = np.concatenate([[0.0], np.cumsum(increments)])

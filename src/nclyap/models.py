@@ -8,7 +8,7 @@ fields for the fixed-step integrator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -94,9 +94,9 @@ def build_ugatt_example():
     """
 
     def rhs(z, d):
-        x, y = z[0], z[1]
-        return np.array(
-            [d * x * y - x**3 - np.cbrt(x), -(y**3) - np.cbrt(y)]
+        x, y = z[..., 0], z[..., 1]
+        return np.stack(
+            [d * x * y - x**3 - np.cbrt(x), -(y**3) - np.cbrt(y)], axis=-1
         )
 
     return SystemModel(
@@ -230,9 +230,6 @@ class _BlowupData:
         vout = (-1.0 - self.eps2(z2)) * (2.0 / np.pi) / (1.0 + z2 * z2)
         return np.stack([f1, f2], axis=-1), np.where(inner, vin, vout)
 
-    def F(self, z):
-        return self._field(z)[0]
-
     def vdot_along_F(self, z):
         """Analytic derivative of V along z' = F(z); continuous across z1 = -1."""
         out = self._field(z)[1]
@@ -360,17 +357,17 @@ class BlockOperatorModel:
 
     @cached_property
     def _tril(self):
-        # where the state's entries sit in the n x n array
-        return np.tri(self.n_blocks, dtype=bool)
+        # where the state's entries sit in the flattened n x n array
+        return np.flatnonzero(np.tri(self.n_blocks, dtype=bool))
 
     def propagator(self, _d, dt):
         ET = _cached_expm(self._expm_cache, float(dt), self.generator, dt).T
-        tril = self._tril
+        n, tril = self.n_blocks, self._tril
 
-        def advance(x):
-            X = np.zeros(tril.shape)
-            X[tril] = x
-            return (X @ ET)[tril]
+        def advance(X):
+            Y = np.zeros((len(X), n * n))
+            Y[:, tril] = X
+            return np.take((Y.reshape(-1, n, n) @ ET).reshape(len(X), -1), tril, axis=1)
 
         return advance
 
@@ -379,8 +376,8 @@ class BlockOperatorModel:
         return self.lyapunov[:i, :i] / self.lyapunov_norms[i - 1]
 
     def V(self, x):
-        X = np.zeros(self._tril.shape)
-        X[self._tril] = self.system.state(x)
+        X = np.zeros((self.n_blocks, self.n_blocks))
+        X.flat[self._tril] = self.system.state(x)
         return float(((X @ self.lyapunov) * X).sum(axis=1) @ (1.0 / self.lyapunov_norms))
 
     def lambda_mins(self):
@@ -485,7 +482,8 @@ class SwitchedLinearModel:
 
     def propagator(self, q, dt):
         E = self.mode_expm(q, dt)
-        return lambda x: E @ x
+        # E @ x on every row; X @ E.T would round differently
+        return lambda X: np.matmul(E, X[..., None])[..., 0]
 
     @property
     def system(self):
@@ -528,16 +526,8 @@ def evolve(model, d, t, s=0.0):
 def build_linear(a):
     """Undisturbed linear system x' = A x with an exact propagator."""
     A = np.atleast_2d(np.asarray(a, dtype=float))
-    sw = build_switched_linear([A])
-    sys = sw.system
-    return SystemModel(
-        name=f"linear-dim{A.shape[0]}",
-        dim=A.shape[0],
-        disturbance_set=sys.disturbance_set,
-        propagator=sys.propagator,
-        homogeneous=True,
-        meta={"kind": "linear", "a": A.tolist()},
-    )
+    return replace(build_switched_linear([A]).system, name=f"linear-dim{A.shape[0]}",
+                   meta={"kind": "linear", "a": A.tolist()})
 
 
 # ---------------------------------------------------------------------------

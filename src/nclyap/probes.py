@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import KLSurface, TabulatedMonotone
-from .systems import DisturbanceSignal, _as_system, flow, sub_rng
+from .systems import DisturbanceSignal, _as_system, flow, flow_batch, sub_rng
 
 __all__ = [
     "ProbeReport",
@@ -140,19 +140,6 @@ def _sphere_states(rng, dim, radius, count, extra=()):
 # reachability envelope mu
 # ---------------------------------------------------------------------------
 
-def _confirmed_flow(model, horizon, x, d, step, refinements=2, factor=8.0):
-    """Flow with escape verification: stiff dynamics under large disturbance
-    magnitudes can blow up the fixed-step integrator spuriously, so an
-    escape claim is only believed once it survives step refinement."""
-    traj = flow(model, horizon, x, d, step=step)
-    for _ in range(refinements):
-        if traj.escaped is None:
-            return traj
-        step /= factor
-        traj = flow(model, horizon, x, d, step=step)
-    return traj
-
-
 def _sample(model, rng, radius, n_states, n_signals, horizon, *, magnitude, pieces, step,
             extra=(), interior=0):
     """Flow sampled start states under sampled probe signals over the horizon.
@@ -162,17 +149,29 @@ def _sample(model, rng, radius, n_states, n_signals, horizon, *, magnitude, piec
     ``interior`` of them pulled inside the ball; the signals are the probe
     signals of the disturbance set.  ``rng`` is drawn in exactly that order.
     Every pair lazily yields one ``_TrajSummary``, escapes confirmed by
-    refinement, so a caller that stops early skips the remaining flows.
+    refinement.  A signal's first pair flows all states under it as one
+    batch, so a caller that stops early skips the remaining batches and
+    refinements.
     """
     states = _sphere_states(rng, model.dim, radius, n_states, extra=extra)
     states += [s * float(rng.uniform(0.2, 0.9)) for s in states[:interior]]
     signals = model.disturbance_set.probe_signals(
         rng, max(horizon, 1e-6), n_signals, pieces=pieces, magnitude=magnitude)
-    for x in states:
-        for d in signals:
-            traj = _confirmed_flow(model, horizon, x, d, step)
-            yield _TrajSummary(x0=x, signal=d, times=traj.times,
-                               norms=traj.norms(model.norm), escaped=traj.escaped)
+    batches = [None] * len(signals)  # per signal: the unrefined summary of each state
+    for i, x in enumerate(states):
+        for j, d in enumerate(signals):
+            if batches[j] is None:
+                batches[j] = [_TrajSummary(x0, d, tr.times, tr.norms, tr.escaped) for x0, tr
+                              in zip(states, flow_batch(model, horizon, states, d, step=step))]
+            tr = batches[j][i]
+            # stiff dynamics under large disturbance magnitudes can blow up the
+            # fixed-step integrator spuriously, so an escape claim is only
+            # believed once it survives steps 8 and 64 times finer
+            for factor in (8.0, 64.0):
+                if tr.escaped is not None:
+                    traj = flow(model, horizon, x, d, step=step / factor)
+                    tr = _TrajSummary(x, d, traj.times, traj.norms, traj.escaped)
+            yield tr
 
 
 def _mu_scan(model, C_grid, tau_grid, budget, *, seed, magnitude, pieces, step,
@@ -298,9 +297,10 @@ def _check_equilibrium(model):
     zero = np.zeros(model.dim)
     for v in model.disturbance_set.corner_values(1.0):
         if model.rhs is not None:
-            r = np.linalg.norm(np.atleast_1d(model.rhs(zero, v)))
+            r = np.linalg.norm(model.rhs(zero[None], v))
         else:
-            r = np.linalg.norm(model.propagator(v, 0.125)(zero))
+            traj = flow(model, 0.125, zero, DisturbanceSignal.constant(v), step=0.125)
+            r = np.inf if traj.escaped else np.linalg.norm(traj.final_state)
         if not (r <= 1e-9):  # also rejects non-finite residuals
             raise ValueError("model does not keep 0 an equilibrium")
 

@@ -6,7 +6,8 @@ which makes shift and concatenation exact and keeps the simulated flow
 causal by construction.  Vector fields are integrated with fixed-step RK4,
 split exactly at the signal's switching times; linear and switched-linear
 models can instead supply an exact propagator (matrix exponential
-semantics).  Divergence is never an exception path for ``flow``: it is
+semantics).  ``flow_batch`` is the one integration loop, and ``flow`` its
+one-row case.  Divergence is never an exception path for either: it is
 reported through the trajectory's ``escaped`` bracket.
 """
 
@@ -27,6 +28,7 @@ __all__ = [
     "EscapeError",
     "LipschitzHint",
     "flow",
+    "flow_batch",
     "check_axioms",
     "check_homogeneity",
     "AxiomReport",
@@ -35,6 +37,9 @@ __all__ = [
 ]
 
 DEFAULT_EXPLOSION_THRESHOLD = 1e12
+
+# Bytes of states in one chunk of rows, which ``flow_batch`` integrates together.
+_CHUNK_BYTES = 1 << 25
 
 
 class EscapeError(RuntimeError):
@@ -225,20 +230,15 @@ class DisturbanceSet:
 # system models and trajectories
 # ---------------------------------------------------------------------------
 
-def _euclidean_norm(x):
-    # float(np.linalg.norm(x)) bit for bit, without its per-call dispatch
-    x = np.asarray(x, dtype=float).ravel(order="K")
-    return math.sqrt(x.dot(x))
-
-
 @dataclass(frozen=True)
 class SystemModel:
     """A simulatable disturbed system.
 
-    Exactly one of ``rhs`` (vector field ``f(x, d_value)``) or
-    ``propagator`` (``(d_value, dt) -> (state -> state)``, exact linear
-    evolution) must be supplied.  The origin is the distinguished
-    equilibrium whenever ``equilibrium`` is True.
+    Exactly one of ``rhs`` (vector field ``f(X, d_value)``) or
+    ``propagator`` (``(d_value, dt) -> (X -> X)``, exact linear evolution)
+    must be supplied.  Both act on states as rows, as ``flow_batch`` calls
+    them: ``X`` has shape ``(B, dim)``, and row b of the result depends on
+    row b of ``X`` alone.  ``norm`` and ``Trajectory.norms`` are Euclidean.
     """
 
     name: str
@@ -246,8 +246,6 @@ class SystemModel:
     disturbance_set: DisturbanceSet
     rhs: object = None
     propagator: object = None
-    norm: object = None
-    equilibrium: bool = True
     homogeneous: bool | None = None
     lipschitz_hint: object = None
     meta: dict = field(default_factory=dict)
@@ -255,16 +253,14 @@ class SystemModel:
     def __post_init__(self):
         if (self.rhs is None) == (self.propagator is None):
             raise ValueError("supply exactly one of rhs or propagator")
-        if self.norm is None:
-            object.__setattr__(self, "norm", _euclidean_norm)
+
+    def norm(self, x):
+        # float(np.linalg.norm(x)) bit for bit, without its per-call dispatch
+        x = np.asarray(x, dtype=float).ravel(order="K")
+        return math.sqrt(x.dot(x))
 
     def state(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dim,):
-            raise ValueError(f"state must have shape ({self.dim},)")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("state must be finite")
-        return x
+        return _states(self, [np.atleast_1d(x)])[0]
 
     def default_signal(self):
         if self.disturbance_set.kind == "finite":
@@ -279,6 +275,7 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray  # shape (len(times), dim)
+    norms: np.ndarray  # Euclidean norm of each state
     signal: DisturbanceSignal
     escaped: tuple | None = None  # (last finite sample time, first over-threshold time)
 
@@ -289,11 +286,6 @@ class Trajectory:
     @property
     def final_time(self):
         return float(self.times[-1])
-
-    def norms(self, norm=None):
-        if norm is None:
-            return np.linalg.norm(self.states, axis=1)
-        return np.array([norm(s) for s in self.states])
 
     def state_at(self, t):
         """Linear interpolation between recorded samples."""
@@ -323,69 +315,93 @@ def _as_system(model):
     return getattr(model, "system", model)
 
 
-def _segment_nodes(t0, t1, step):
-    """Fixed-step nodes covering [t0, t1], last step shortened to land on t1."""
-    n_full = int(np.floor((t1 - t0) / step + 1e-12))
-    nodes = [t0 + i * step for i in range(1, n_full + 1)]
-    if not nodes or nodes[-1] < t1 - 1e-12 * max(1.0, abs(t1)):
-        nodes.append(t1)
-    else:
-        nodes[-1] = t1
-    return nodes
+def _states(model, X):
+    """X as a float array of one state per row, checked finite."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.dim:
+        raise ValueError(f"state must have shape ({model.dim},)")
+    if len(X) == 0:
+        raise ValueError("need at least one state")
+    if not np.isfinite(X).all():
+        raise ValueError("state must be finite")
+    return X
 
 
 def flow(model, t, x, d=None, step=1e-3, explosion_threshold=DEFAULT_EXPLOSION_THRESHOLD):
-    """Simulate the model from x over [0, t] under the signal d.
+    """Simulate the model from x over [0, t] under the signal d: the one
+    trajectory of ``flow_batch`` on the single row x."""
+    return next(flow_batch(model, t, model.state(x)[None], d, step, explosion_threshold))
+
+
+def flow_batch(model, t, X, d=None, step=1e-3, explosion_threshold=DEFAULT_EXPLOSION_THRESHOLD):
+    """Simulate the model from each row of X over [0, t] under the signal d.
 
     Vector-field models use fixed-step classical RK4, split exactly at the
     signal's breakpoints so the integrator only ever reads d on [0, t].
     Propagator models evaluate the exact evolution operator per constant
-    segment.  When the state norm passes ``explosion_threshold`` (or goes
-    non-finite) the trajectory is truncated and ``escaped`` carries the
-    bracket on the escape time; non-finite states are never returned.
+    segment.  Each node advances all rows still alive by one step.  A row
+    whose norm passes ``explosion_threshold`` (or goes non-finite) leaves the
+    batch, and ``escaped`` brackets its escape time; non-finite states are
+    never returned.  Rows never mix, so each trajectory is the flow of its
+    row alone.  Yields one ``Trajectory`` per row, integrating a chunk of at
+    most ``_CHUNK_BYTES`` of states when its first row is asked for.
     """
     if t < 0:
         raise ValueError("horizon must be nonnegative")
     if step <= 0:
         raise ValueError("step must be positive")
-    x = model.state(x)
+    X = _states(model, X)
     if d is None:
         d = model.default_signal()
+    edges = [0.0] + d.switch_times(0.0, t) + [t] if t > 0 else []
+    times, dvals = [0.0], []  # dvals[k]: the signal's value from node k to k + 1
+    for t0, t1 in zip(edges, edges[1:]):
+        # fixed-step nodes covering (t0, t1], last step shortened to land on t1
+        n_full = int(np.floor((t1 - t0) / step + 1e-12))
+        nodes = [t0 + i * step for i in range(1, n_full + 1)]
+        if nodes and nodes[-1] >= t1 - 1e-12 * max(1.0, abs(t1)):
+            nodes.pop()
+        times += nodes + [t1]
+        dvals += [d.value_at(t0)] * (len(nodes) + 1)
+    times = np.array(times)
+    rows = max(1, _CHUNK_BYTES // (8 * times.size * model.dim))
+    return (traj for lo in range(0, len(X), rows)
+            for traj in _integrate(model, times, dvals, X[lo:lo + rows], d, explosion_threshold))
 
-    times = [0.0]
-    states = [x]
-    if t == 0.0:
-        return Trajectory(np.array(times), np.array(states), d)
 
-    seg_edges = [0.0] + d.switch_times(0.0, t) + [t]
-    escaped = None
-    cur = x
-    norm, f, propagator = model.norm, model.rhs, model.propagator
+def _integrate(model, times, dvals, X, d, explosion_threshold):
+    states = np.empty((len(X), times.size, model.dim))
+    last = np.full(len(X), times.size - 1)  # index of each row's last state
+    alive = slice(None)  # every row, until the first escape
+    cur = states[:, 0] = X
+    f, propagator = model.rhs, model.propagator
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for s0, s1 in zip(seg_edges, seg_edges[1:]):
-            dval = d.value_at(s0)
-            prev_t = s0
-            for node in _segment_nodes(s0, s1, step):
-                h = node - prev_t
-                if propagator is not None:
-                    nxt = propagator(dval, h)(cur)
-                else:
-                    k1 = f(cur, dval)
-                    k2 = f(cur + 0.5 * h * k1, dval)
-                    k3 = f(cur + 0.5 * h * k2, dval)
-                    k4 = f(cur + h * k3, dval)
-                    nxt = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                nxt = np.asarray(nxt, dtype=float)
-                if not np.isfinite(nxt).all() or norm(nxt) > explosion_threshold:
-                    escaped = (prev_t, node)
+        for k, (dval, h) in enumerate(zip(dvals, np.diff(times).tolist()), 1):
+            if propagator is not None:
+                nxt = propagator(dval, h)(cur)
+            else:
+                k1 = f(cur, dval)
+                k2 = f(cur + 0.5 * h * k1, dval)
+                k3 = f(cur + 0.5 * h * k2, dval)
+                k4 = f(cur + h * k3, dval)
+                nxt = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            # C order, so that the norms round as math.sqrt(x.dot(x)) does
+            nxt = np.ascontiguousarray(nxt, dtype=float)
+            sq = np.vecdot(nxt, nxt)
+            # sqrt is monotone, and a NaN or inf row fails the comparison
+            if not math.sqrt(sq.max()) <= explosion_threshold:
+                ok = np.sqrt(sq) <= explosion_threshold
+                alive = np.arange(len(X))[alive]
+                last[alive[~ok]] = k - 1
+                alive, nxt = alive[ok], nxt[ok]
+                if not alive.size:
                     break
-                times.append(node)
-                states.append(nxt)
-                cur = nxt
-                prev_t = node
-            if escaped is not None:
-                break
-    return Trajectory(np.array(times), np.array(states), d, escaped=escaped)
+            states[alive, k] = nxt
+            cur = nxt
+    for b, j in enumerate(last):
+        escaped = None if j == times.size - 1 else (float(times[j]), float(times[j + 1]))
+        S = states[b, :j + 1]
+        yield Trajectory(times[:j + 1], S, np.sqrt(np.vecdot(S, S)), d, escaped)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +511,7 @@ def check_homogeneity(model, sample_budget=10, tol=1e-8, *, seed=0, step=1e-3,
         lam = float(rng.uniform(0.0, lambda_max))
         t = float(rng.uniform(0.05, t_max))
         d = model.disturbance_set.sample_signal(rng, t, pieces=4, magnitude=magnitude)
-        base = flow(model, t, x, d, step=step)
-        scaled = flow(model, t, lam * x, d, step=step)
+        base, scaled = flow_batch(model, t, [x, lam * x], d, step=step)
         if base.escaped is not None or scaled.escaped is not None:
             escaped += 1
             continue

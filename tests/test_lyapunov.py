@@ -65,7 +65,7 @@ class TestDiniDerivative:
         for _ in range(5):
             A = rng.normal(size=(3, 3)) * 0.5
             model = SystemModel("lin", 3, DisturbanceSet.interval(0, 0),
-                                rhs=lambda x, d, A=A: A @ x)
+                                rhs=lambda x, d, A=A: x @ A.T)
             x = rng.normal(size=3)
             est = dini_derivative(square_candidate(), model, x, step=1e-4)
             want = float(x @ (A.T + A) @ x)

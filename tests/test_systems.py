@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nclyap.models import build_linear, build_scalar_example
+from nclyap import systems
+from nclyap.models import build_blowup_example, build_linear, build_scalar_example
 from nclyap.systems import (
     DisturbanceSet,
     DisturbanceSignal,
@@ -12,7 +13,10 @@ from nclyap.systems import (
     check_axioms,
     check_homogeneity,
     flow,
+    flow_batch,
 )
+
+from test_acceptance import zoo_entries
 
 
 def decaying_model():
@@ -109,7 +113,7 @@ class TestFlow:
         a = np.array([[-0.3, 1.0], [-1.0, -0.3]])
         lin = build_linear(a)
         rk = SystemModel("rk", 2, DisturbanceSet.interval(0, 0),
-                         rhs=lambda x, d: a @ x)
+                         rhs=lambda x, d: x @ a.T)
         x0 = np.array([1.0, -0.5])
         t1 = flow(lin, 2.0, x0, step=1e-2)
         t2 = flow(rk, 2.0, x0, step=1e-3)
@@ -144,6 +148,66 @@ class TestFlow:
         lines = traj.to_csv().strip().splitlines()
         assert lines[0] == "t,x_1,d"
         assert lines[1].endswith(",2.0")
+
+
+def assert_same_trajectory(got, want):
+    """Bit-for-bit equality of two trajectories' times, states, norms and escape."""
+    assert got.escaped == want.escaped
+    for a, b in ((got.times, want.times), (got.states, want.states), (got.norms, want.norms)):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+class TestFlowBatch:
+    def test_rows_equal_solo_flows_on_the_zoo(self):
+        for name, model, kw in zoo_entries():
+            rng = np.random.default_rng(11)
+            X = rng.normal(size=(5, model.dim))
+            X *= kw["radius"] * rng.uniform(0.5, 2.0, size=(5, 1)) / np.linalg.norm(X, axis=1)[:, None]
+            d = model.disturbance_set.sample_signal(rng, 1.0, pieces=4, magnitude=64.0)
+            trajs = list(flow_batch(model, 1.0, X, d, step=2e-2))
+            assert len(trajs) == 5, name
+            for x, traj in zip(X, trajs):
+                assert_same_trajectory(traj, flow(model, 1.0, x, d, step=2e-2))
+
+    def test_blowup_escapes_and_convergence_in_one_batch(self):
+        model, _ = build_blowup_example(3.0)
+        grid = [(z1, z2) for z1 in np.linspace(-4.0, -1.0, 7)[::3]
+                for z2 in np.linspace(-2.0, 2.0, 9)[::4]]
+        safe = [(1.0, 1.0), (0.5, -1.5)]
+        X = np.array(grid[:4] + safe + grid[4:])
+        trajs = list(flow_batch(model, 6.0, X, step=2e-2))
+        assert sum(t.escaped is not None for t in trajs) >= len(grid) // 2
+        assert trajs[4].escaped is None and trajs[5].escaped is None
+        for x, traj in zip(X, trajs):
+            assert_same_trajectory(traj, flow(model, 6.0, x, step=2e-2))
+
+    def test_chunked_batch_rows_equal_solo_flows(self, monkeypatch):
+        # scalar (ii) under |d| up to 64 escapes from some rows and not others
+        model = build_scalar_example("ii")
+        d = DisturbanceSignal((0.0, 0.25, 0.5), (64.0, -8.0, 64.0))
+        X = np.array([[1.0], [-1e-6], [0.0], [3.0], [1e-9]])
+        solo = [flow(model, 1.0, x, d, step=1e-2) for x in X]
+        assert any(t.escaped is not None for t in solo)
+        assert any(t.escaped is None for t in solo)
+        for rows in (1, 2):
+            monkeypatch.setattr(systems, "_CHUNK_BYTES", rows * 8 * 101)  # 101 nodes, dim 1
+            for traj, want in zip(flow_batch(model, 1.0, X, d, step=1e-2), solo):
+                assert_same_trajectory(traj, want)
+
+    def test_bad_input_raises(self):
+        model = build_linear([[-1.0, 0.0], [0.0, -2.0]])
+        for bad, match in (
+            (np.ones(2), "shape"),            # not 2-D
+            (np.ones((1, 2, 1)), "shape"),    # not 2-D
+            (np.ones((3, 1)), "shape"),       # columns other than dim
+            (np.ones((3, 3)), "shape"),
+            (np.ones((0, 2)), "at least one"),
+            ([[1.0, np.nan]], "finite"),
+            ([[0.0, 0.0], [np.inf, 1.0]], "finite"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                flow_batch(model, 1.0, bad)
 
 
 class TestAxioms:
