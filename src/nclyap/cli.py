@@ -31,7 +31,7 @@ from .models import (
     model_from_descriptor,
 )
 from .probes import classify_rep, classify_rfc, estimate_switched_bound, probe_attractivity
-from .systems import DisturbanceSignal, flow, flow_batch
+from .systems import DisturbanceSignal, _unit_direction, flow, flow_batch
 from .converse import ConverseConfig, assemble_w
 
 __all__ = ["ExperimentConfig", "run", "main"]
@@ -132,8 +132,7 @@ def _shell_states(seed, dim, count, r_lo, r_hi):
     """``count`` states in random directions with norms uniform in [r_lo, r_hi]."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
-        v = rng.normal(size=dim)
-        yield v / np.linalg.norm(v) * rng.uniform(r_lo, r_hi)
+        yield _unit_direction(rng, dim) * rng.uniform(r_lo, r_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +384,15 @@ def run(config):
     outdir.mkdir(parents=True, exist_ok=True)
     lines = [f"task: {config.task}", f"seed: {config.seed}"]
     _manifest(config, outdir)
-    if config.task == "simulate":
-        status = _task_simulate(config, outdir, lines)
-    elif config.task == "probe":
-        status = _task_probe(config, outdir, lines)
-    elif config.task == "verify":
-        status = _task_verify(config, outdir, lines)
-    elif config.task == "construct":
-        status = _task_construct(config, outdir, lines)
-    else:
+    if config.task == "reproduce":
         target = config.params["target"]
-        handler = {
-            "ex26": _reproduce_ex26,
-            "ex213": _reproduce_ex213,
-            "ex61": _reproduce_ex61,
-            "ex62": _reproduce_ex62,
-            "switched": _reproduce_switched,
-        }[target]
         lines.insert(1, f"target: {target}")
-        status = handler(config, outdir, lines)
+        handler = {"ex26": _reproduce_ex26, "ex213": _reproduce_ex213, "ex61": _reproduce_ex61,
+                   "ex62": _reproduce_ex62, "switched": _reproduce_switched}[target]
+    else:
+        handler = {"simulate": _task_simulate, "probe": _task_probe, "verify": _task_verify,
+                   "construct": _task_construct}[config.task]
+    status = handler(config, outdir, lines)
     lines.append(f"status: {status}")
     _write(outdir, "summary.txt", "\n".join(lines) + "\n")
     return status
@@ -471,6 +460,10 @@ def _config_from_args(args):
         raise ConfigError("either --config or a subcommand is required")
     seed = args.seed if args.seed is not None else 0
     out = args.out if args.out is not None else "out"
+    if args.command == "reproduce":
+        params = {"target": args.target, "n": args.n, "epsilon": args.epsilon,
+                  "budget": args.budget}
+        return ExperimentConfig("reproduce", {}, params, seed, out)
     if args.command == "simulate":
         params = {"t": args.t, "step": args.step}
         if args.x is not None:
@@ -480,23 +473,13 @@ def _config_from_args(args):
                 params["d"] = float(args.d)
             except ValueError:
                 params["d"] = args.d
-        return ExperimentConfig("simulate", json.loads(args.model), params, seed, out)
-    if args.command == "probe":
-        return ExperimentConfig(
-            "probe", json.loads(args.model),
-            {"notion": args.notion, "budget": args.budget, "horizon": args.horizon},
-            seed, out)
-    if args.command == "verify":
-        return ExperimentConfig(
-            "verify", json.loads(args.model),
-            {"alpha_power": args.alpha_power, "samples": args.samples}, seed, out)
-    if args.command == "construct":
-        return ExperimentConfig(
-            "construct", json.loads(args.model),
-            {"k_max": args.kmax, "budget": args.budget}, seed, out)
-    params = {"target": args.target, "n": args.n, "epsilon": args.epsilon,
-              "budget": args.budget}
-    return ExperimentConfig("reproduce", {}, params, seed, out)
+    elif args.command == "probe":
+        params = {"notion": args.notion, "budget": args.budget, "horizon": args.horizon}
+    elif args.command == "verify":
+        params = {"alpha_power": args.alpha_power, "samples": args.samples}
+    else:
+        params = {"k_max": args.kmax, "budget": args.budget}
+    return ExperimentConfig(args.command, json.loads(args.model), params, seed, out)
 
 
 def main(argv=None):

@@ -1,6 +1,6 @@
 """Grid-based algebra for comparison functions.
 
-Comparison functions (class K, K-infinity, L, positive definite) are stored
+Comparison functions (class K, K-infinity and L) are stored
 as monotone tables over a finite grid with declared extrapolation rules.
 Piecewise-linear interpolation between grid points preserves class
 membership, which is what makes a tabulated representation sound.
@@ -31,7 +31,7 @@ __all__ = [
     "power_table",
 ]
 
-CLASS_TAGS = ("K", "Kinf", "L", "PositiveDefinite")
+CLASS_TAGS = ("K", "Kinf", "L")
 
 
 class SontagFitError(RuntimeError):
@@ -70,7 +70,7 @@ class TabulatedMonotone:
     values : array_like
         Function samples, one per grid point.
     class_tag : str
-        One of ``K``, ``Kinf``, ``L``, ``PositiveDefinite``.
+        One of ``K``, ``Kinf``, ``L``.
     slope : float, optional
         Extrapolation slope beyond the last grid point for K/Kinf tables.
         Defaults to the last segment's slope.  Must be positive for Kinf
@@ -98,14 +98,8 @@ class TabulatedMonotone:
                 raise ValueError(f"class {tag} requires value 0 at abscissa 0")
             if np.any(np.diff(v) <= 0):
                 raise ValueError(f"class {tag} requires strictly increasing values")
-        elif tag == "L":
-            if np.any(np.diff(v) > 0):
-                raise ValueError("class L requires nonincreasing values")
-        else:  # PositiveDefinite
-            if g[0] == 0.0 and v[0] != 0.0:
-                raise ValueError("positive definite requires value 0 at abscissa 0")
-            if np.any(v[g > 0] <= 0):
-                raise ValueError("positive definite requires positive values for r > 0")
+        elif np.any(np.diff(v) > 0):
+            raise ValueError("class L requires nonincreasing values")
         slope = self.slope
         if slope is None:
             slope = float((v[-1] - v[-2]) / (g[-1] - g[-2]))
@@ -311,13 +305,13 @@ def _monotone_envelope_table(s_points, required, slope_floor):
     return TabulatedMonotone(s_u, vals, "Kinf", slope=slope)
 
 
-def sontag_factorize(beta, iterations=4):
+def sontag_factorize(beta):
     """Fit Kinf tables (alpha1, alpha2) with beta(r,t) <= alpha2(alpha1(r) e^{-t}).
 
     This is a constrained data fit by alternating monotone regression, not a
     proof construction: the only contract is grid-wise domination.  Raises
     :class:`SontagFitError` with the worst-violated grid point if the fit
-    fails on the grid within the iteration budget.
+    fails on the grid within 4 rounds of alternation.
     """
     if beta.kind != "KL":
         raise ValueError("sontag_factorize requires a KL surface")
@@ -353,7 +347,7 @@ def sontag_factorize(beta, iterations=4):
 
     alpha2 = identity_table(max(1.0, float(np.max(B)) * 1.5))
     alpha1 = fit_alpha1(alpha2)
-    for _ in range(max(1, iterations)):
+    for _ in range(4):
         alpha2 = fit_alpha2(alpha1)
         alpha1 = fit_alpha1(alpha2)
 
@@ -370,13 +364,14 @@ def sontag_factorize(beta, iterations=4):
     return alpha1, alpha2
 
 
-def kl_from_alpha(alpha, r_grid, t_grid, substeps=64, floor=1e-12):
+def kl_from_alpha(alpha, r_grid, t_grid):
     """KL surface from numerically flowing ``dy/dt = -alpha(y)`` per r in r_grid.
 
     Any continuous y whose Dini quotients satisfy ``dy/dt <= -alpha(y)``
     is dominated by the returned surface (comparison principle), which is
-    what makes it usable as a verification oracle.  Values below ``floor``
-    are clamped to 0 to avoid step collapse of stiff decays.
+    what makes it usable as a verification oracle.  Each t-grid interval
+    takes 64 RK4 substeps, and values below 1e-12 are clamped to 0 to
+    avoid step collapse of stiff decays.
     """
     r_grid = _as_grid(np.asarray(r_grid, dtype=float), "r_grid")
     t_grid = np.asarray(t_grid, dtype=float)
@@ -392,15 +387,15 @@ def kl_from_alpha(alpha, r_grid, t_grid, substeps=64, floor=1e-12):
         return np.maximum(alpha(z), 0.0)
 
     for j in range(1, t_grid.size):
-        dt = (t_grid[j] - t_grid[j - 1]) / substeps
-        for _ in range(substeps):
+        dt = (t_grid[j] - t_grid[j - 1]) / 64
+        for _ in range(64):
             k1 = -a(y)
             k2 = -a(np.maximum(y + 0.5 * dt * k1, 0.0))
             k3 = -a(np.maximum(y + 0.5 * dt * k2, 0.0))
             k4 = -a(np.maximum(y + dt * k3, 0.0))
             y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             y = np.maximum(y, 0.0)
-            y[y < floor] = 0.0
+            y[y < 1e-12] = 0.0
         if np.any(~np.isfinite(y)):
             raise RuntimeError("integration failure in kl_from_alpha (step collapse)")
         vals[:, j] = y

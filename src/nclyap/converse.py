@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .comparison import TabulatedMonotone, gk_threshold, lipschitz_minorant, sontag_factorize
-from .systems import EscapeError, _as_system, flow, flow_batch, sub_rng
+from .systems import EscapeError, _as_system, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
     "ConverseConfig",
@@ -50,6 +50,7 @@ class ConverseConfig:
     ``rho`` must pass the unit-Lipschitz grid check and ``alpha1`` must be
     class Kinf; both normally come from a fitted decay surface via
     ``from_kl_bound``.  ``eta`` only matters for the max-type variant.
+    The sampled disturbances have 8 pieces.
     """
 
     rho: TabulatedMonotone
@@ -61,7 +62,6 @@ class ConverseConfig:
     quadrature_step: float = 1e-3
     seed: int = 0
     magnitude: float = 1.0
-    pieces: int = 8
 
     def __post_init__(self):
         if self.alpha1.class_tag != "Kinf":
@@ -81,16 +81,16 @@ class ConverseConfig:
             raise ValueError("quadrature_step must be positive")
 
     @classmethod
-    def from_kl_bound(cls, beta, *, margin=0.05, **kwargs):
+    def from_kl_bound(cls, beta, **kwargs):
         """Derive (rho, alpha1) from a fitted decay surface.
 
-        The surface is inflated by ``margin`` before factorization so that
+        The surface is inflated by 5% before factorization so that
         trajectories sampled later stay below it; rho is the unit-Lipschitz
         minorant of the inverse of the factorization's outer function.
         """
         from .comparison import KLSurface
 
-        inflated = KLSurface(beta.r_grid, beta.t_grid, beta.values * (1.0 + margin),
+        inflated = KLSurface(beta.r_grid, beta.t_grid, beta.values * (1.0 + 0.05),
                              kind="KL")
         alpha1, alpha2 = sontag_factorize(inflated)
         rho = lipschitz_minorant(invert_table(alpha2))
@@ -104,17 +104,15 @@ class ConverseConfig:
         model = _as_system(model)
         rng = sub_rng(self.seed, 59)
         return model.disturbance_set.probe_signals(
-            rng, max(horizon, 1e-6), self.disturbance_budget,
-            pieces=self.pieces, magnitude=self.magnitude,
+            rng, max(horizon, 1e-6), self.disturbance_budget, magnitude=self.magnitude,
         )
 
 
-def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3,
-                            magnitude=1.0, pieces=8):
+def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magnitude=1.0):
     """Empirical Lipschitz constant of the flow on the R-ball over [0, tau].
 
     Maximizes the endpoint-pair stretching ratio over sampled state pairs
-    (random, antipodal and nearby pairs), sampled disturbances and all
+    (random, antipodal and nearby pairs), sampled 8-piece disturbances and all
     trajectory sample times.  When the model carries a Gronwall-style
     hint (semigroup bound plus nonlinearity Lipschitz data), the analytic
     bound M exp((M L_f(K) + lambda) tau) is computed as well and the
@@ -125,8 +123,7 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3,
     if R <= 0 or tau <= 0:
         raise ValueError("R and tau must be positive")
     rng = sub_rng(seed, 61)
-    signals = model.disturbance_set.probe_signals(
-        rng, tau, budget, pieces=pieces, magnitude=magnitude)
+    signals = model.disturbance_set.probe_signals(rng, tau, budget, magnitude=magnitude)
     if model.propagator is not None and model.dim <= 8:
         # linear evolution in small dimension: flow the canonical basis and
         # take exact operator norms at every sample time, which dominates
@@ -144,16 +141,10 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3,
         return best
     pairs = []
     for _ in range(budget):
-        u = rng.normal(size=model.dim)
-        u /= np.linalg.norm(u)
-        x = u * R * rng.uniform(0.2, 1.0)
+        x = _unit_direction(rng, model.dim) * R * rng.uniform(0.2, 1.0)
         pairs.append((x, -x))
-        w = rng.normal(size=model.dim)
-        w /= np.linalg.norm(w)
-        pairs.append((x, x + w * R * 1e-3))
-        y = rng.normal(size=model.dim)
-        y = y / np.linalg.norm(y) * R * rng.uniform(0.2, 1.0)
-        pairs.append((x, y))
+        pairs.append((x, x + _unit_direction(rng, model.dim) * R * 1e-3))
+        pairs.append((x, _unit_direction(rng, model.dim) * R * rng.uniform(0.2, 1.0)))
     gaps = [float(np.linalg.norm(x - y)) for x, y in pairs]
     pairs = [(x, y, gap) for (x, y), gap in zip(pairs, gaps) if gap != 0.0]
     best = 0.0
@@ -195,6 +186,9 @@ class VkEvaluator:
     _signals: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.k < 1 or int(self.k) != self.k:
+            raise ValueError("k must be a positive integer")
+        object.__setattr__(self, "k", int(self.k))
         object.__setattr__(self, "_signals", tuple(
             self.config.signals(self.model, self.horizon(self.config.R))))
 
@@ -230,19 +224,18 @@ class VkEvaluator:
             best = max(best, val)
         return best
 
-    def value_checked(self, x, rel_tol=1e-4):
-        """Value plus a quadrature flag: halving the step must move it < rel_tol."""
+    def value_checked(self, x):
+        """Value plus a quadrature flag: halving the step must move it by less
+        than 1e-4 relative."""
         v1 = self(x)
         v2 = self(x, step=self.config.quadrature_step / 2)
-        flagged = abs(v2 - v1) > rel_tol * max(abs(v1), 1e-12)
+        flagged = abs(v2 - v1) > 1e-4 * max(abs(v1), 1e-12)
         return v2, flagged
 
 
 def construct_vk_integral(model, k, config):
     """Integral-type member: sampled-sup of the clamped decayed norm integral."""
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
-    return VkEvaluator(model, int(k), config, "integral")
+    return VkEvaluator(model, k, config, "integral")
 
 
 def construct_vk_max(model, k, config):
@@ -251,9 +244,7 @@ def construct_vk_max(model, k, config):
     The maximization horizon is extended by 1/(1 - eta) so the exponential
     growth cannot outlive the decay bound's e^{-s} envelope.
     """
-    if k < 1 or int(k) != k:
-        raise ValueError("k must be a positive integer")
-    return VkEvaluator(model, int(k), config, "max")
+    return VkEvaluator(model, k, config, "max")
 
 
 @dataclass(frozen=True)
@@ -311,13 +302,14 @@ class ConstructedLyapunov:
         )
 
 
-def assemble_w(model, config, kind="integral", lipschitz_budget=8, lipschitz_step=None):
+def assemble_w(model, config, kind="integral", lipschitz_budget=8):
     """Assemble the weighted construction W with its weights and tables.
 
     The member family is integral-type by default (the non-coercive
     construction); ``kind="max"`` assembles the max-type family with the
     same weight pattern.  ``M(R, k)`` tables are built for the reference
-    radius ``config.R`` and for the weight anchors R = k.
+    radius ``config.R`` and for the weight anchors R = k; their flow
+    Lipschitz estimates integrate with step ``max(quadrature_step, 1e-3)``.
     """
     cfg = config
     evaluators = []
@@ -325,7 +317,7 @@ def assemble_w(model, config, kind="integral", lipschitz_budget=8, lipschitz_ste
     lipschitz = {}
     weights = np.zeros(cfg.k_max)
     build = construct_vk_integral if kind == "integral" else construct_vk_max
-    step = lipschitz_step or max(cfg.quadrature_step, 1e-3)
+    step = max(cfg.quadrature_step, 1e-3)
     for k in range(1, cfg.k_max + 1):
         vk = build(model, k, cfg)
         evaluators.append(vk)
@@ -337,7 +329,7 @@ def assemble_w(model, config, kind="integral", lipschitz_budget=8, lipschitz_ste
                 continue
             L = estimate_flow_lipschitz(
                 model, R, T, budget=lipschitz_budget, seed=cfg.seed,
-                step=step, magnitude=cfg.magnitude, pieces=cfg.pieces)
+                step=step, magnitude=cfg.magnitude)
             lipschitz[(round(R, 12), k)] = cfg.horizon(R, k) * L
         weights[k - 1] = 2.0 ** (-k) / (1.0 + lipschitz[(round(float(k), 12), k)])
     return ConstructedLyapunov(

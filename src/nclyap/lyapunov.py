@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import EscapeError, flow, flow_batch, sub_rng
+from .systems import EscapeError, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
     "LyapunovCandidate",
@@ -32,26 +32,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LyapunovCandidate:
-    """A scalar functional on states with optional sandwich/decay data.
+    """A scalar functional on states with optional sandwich data.
 
     ``psi2`` is the upper comparison bound (always present for a valid
     candidate in principle, optional here); ``psi1`` is the lower bound and
-    is absent exactly for non-coercive candidates; ``alpha`` is a decay
-    rate in terms of the state norm.
+    is absent exactly for non-coercive candidates.  Decay rates are passed
+    to the checks (``verify_decay``, ``verify_integral_bound``) instead.
     """
 
     eval: object
     name: str = "V"
     psi1: object = None
     psi2: object = None
-    alpha: object = None
 
     def __call__(self, x):
         return float(self.eval(np.asarray(x, dtype=float)))
-
-    @property
-    def coercive(self):
-        return self.psi1 is not None
 
 
 def decay_tolerance(bound, rel_tol=1e-3):
@@ -72,16 +67,18 @@ class DiniEstimate:
     hs: np.ndarray
     quotients: np.ndarray
 
-    def converged(self, rtol=0.2):
+    def converged(self):
+        """Whether the last two quotients agree within 20% of ``value``."""
         if len(self.quotients) < 2:
             return False
         tail = self.quotients[-2:]
         scale = max(1e-12, abs(self.value))
-        return abs(tail[1] - tail[0]) <= rtol * scale
+        return abs(tail[1] - tail[0]) <= 0.2 * scale
 
 
-def default_h_sequence(h0=1e-2, ratio=0.5, terms=8, floor=None):
-    hs = h0 * ratio ** np.arange(terms)
+def default_h_sequence(terms=8, floor=None):
+    """The geometric sequence 1e-2 * 2^-j, cut at ``floor``."""
+    hs = 1e-2 * 0.5 ** np.arange(terms)
     if floor is not None:
         hs = hs[hs >= floor * (1 - 1e-12)]
         if hs.size == 0:
@@ -247,14 +244,13 @@ class IntegralBoundReport:
     v0: float
 
 
-def verify_integral_bound(V, alpha, model, x, d=None, horizon=10.0,
-                          quadrature_step=1e-3, tol_rel=1e-4):
+def verify_integral_bound(V, alpha, model, x, d=None, horizon=10.0, quadrature_step=1e-3):
     """Check the accumulated-decay bound along one trajectory.
 
     Composite-trapezoid quadrature of ``alpha(||phi(s)||)`` over the full
-    horizon must not exceed ``V(x)`` (within tolerance), and the running
-    form ``V(phi(t)) - V(x) <= -integral_0^t`` must hold at intermediate
-    sample times.  Escape before the horizon is a distinct error since the
+    horizon must not exceed ``V(x)`` (within the tolerance 1e-4 V(x) + 1e-9),
+    and the running form ``V(phi(t)) - V(x) <= -integral_0^t`` must hold at
+    intermediate sample times.  Escape before the horizon is a distinct error since the
     bound presumes the trajectory exists.
     """
     x = model.state(x)
@@ -269,7 +265,7 @@ def verify_integral_bound(V, alpha, model, x, d=None, horizon=10.0,
     increments = 0.5 * (g[1:] + g[:-1]) * np.diff(t)
     running = np.concatenate([[0.0], np.cumsum(increments)])
     v0 = float(V(x))
-    tol = tol_rel * v0 + 1e-9
+    tol = 1e-4 * v0 + 1e-9
     integral = float(running[-1])
     slack = v0 + tol - integral
     vt = np.array([float(V(s)) for s in traj.states])
@@ -295,14 +291,14 @@ class CoercivityProfile:
 
 
 def coercivity_profile(V, model, radii, direction_budget=64, *, seed=0,
-                       witness_directions=None, noncoercive_fraction=0.05):
+                       witness_directions=None):
     """Estimate inf/sup of V on spheres of the given radii.
 
     Directions are sampled uniformly; any supplied witness directions (for
     block models: per-block eigendirections of the smallest Lyapunov-block
     eigenvalue) are always included.  The candidate is flagged
-    non-coercive when the inf estimate at some radius drops below
-    ``noncoercive_fraction`` of the sup estimate.
+    non-coercive when the inf estimate at some radius drops below 5% of
+    the sup estimate.
     """
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
@@ -313,10 +309,7 @@ def coercivity_profile(V, model, radii, direction_budget=64, *, seed=0,
     for w in witness_directions:
         w = np.asarray(w, dtype=float)
         dirs.append(w / np.linalg.norm(w))
-    for i in range(direction_budget):
-        rng = sub_rng(seed, 131, i)
-        v = rng.normal(size=model.dim)
-        dirs.append(v / np.linalg.norm(v))
+    dirs += [_unit_direction(sub_rng(seed, 131, i), model.dim) for i in range(direction_budget)]
     infs, sups, wits = [], [], []
     for r in radii:
         vals = np.array([float(V(r * u)) for u in dirs])
@@ -325,5 +318,5 @@ def coercivity_profile(V, model, radii, direction_budget=64, *, seed=0,
         wits.append(r * dirs[int(vals.argmin())])
     infs = np.array(infs)
     sups = np.array(sups)
-    flagged = bool(np.any(infs < noncoercive_fraction * np.maximum(sups, 1e-300)))
+    flagged = bool(np.any(infs < 0.05 * np.maximum(sups, 1e-300)))
     return CoercivityProfile(radii, infs, sups, tuple(wits), flagged)

@@ -113,11 +113,6 @@ def build_ugatt_example():
 # the planar blow-up example with a non-coercive Lyapunov function
 # ---------------------------------------------------------------------------
 
-def _smoothstep01(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
-
-
 class _BlowupData:
     """Pinned instantiation of the blow-up construction.
 
@@ -128,106 +123,57 @@ class _BlowupData:
     factors nonnegative and puts V's plateau range at (1, 3)).  The time
     reparametrization h blends from 1 on the unit ball to the defining
     max formula beyond radius 2 via a smoothstep, which keeps it positive
-    and locally Lipschitz.
+    and locally Lipschitz.  With x = psi^{-1}(z1) on z1 > -1,
+
+        F(z) = (psi'(x) (-eps1(x) - delta(z2)), delta(x) - eps2(z2)),
+        V(z) = rho(v1(x, z2)) + eta(x) (1 + (2/pi) arctan(z2)),
+        v1(x, z2) = log cosh x + log cosh z2,
+
+    and on z1 <= -1, F(z) = (0, -1 - eps2(z2)) and V(z) = 2 + (2/pi) arctan(z2).
+    All of these act on arrays of states as rows.
     """
 
     def __init__(self, c):
         self.c = float(c)
 
-    # scalar building blocks (vectorized over numpy arrays)
-    def delta(self, x):
-        return np.tanh(x)
-
-    def eps1(self, x):
-        return 2.0 * np.tanh(x)
-
-    def eps2(self, x):
-        return 0.5 * np.tanh(x)
-
-    def eta(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(x < -self.c, np.exp(1.0 / (x + self.c)), 0.0)
-        return out
-
-    def eta_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = np.where(
-                x < -self.c, -np.exp(1.0 / (x + self.c)) / (x + self.c) ** 2, 0.0
-            )
-        return out
-
     @staticmethod
-    def rho(r):
-        return (2.0 / np.pi) * np.arctan(r)
-
-    @staticmethod
-    def rho_prime(r):
-        return (2.0 / np.pi) / (1.0 + r * r)
-
-    @staticmethod
-    def psi_inverse(z1):
+    def _psi_inverse(z1):
         # inverse of psi(x) = x (x >= 0), e^x - 1 (x < 0); domain z1 > -1
-        z1 = np.asarray(z1, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(z1 >= 0.0, z1, np.log1p(np.maximum(z1, -1.0 + 1e-300)))
-
-    @staticmethod
-    def psi_prime_at_inverse(z1):
-        # psi'(psi^{-1}(z1)) = 1 for z1 >= 0 and 1 + z1 below
-        z1 = np.asarray(z1, dtype=float)
-        return np.where(z1 >= 0.0, 1.0, 1.0 + z1)
-
-    def v1(self, x1, x2):
-        return np.log(np.cosh(x1)) + np.log(np.cosh(x2))
-
-    def v1_dot(self, x1, x2):
-        return -self.eps1(x1) * self.delta(x1) - self.eps2(x2) * self.delta(x2)
-
-    def w_bump(self, x1, x2):
-        return self.eta(x1) * (1.0 + (2.0 / np.pi) * np.arctan(x2))
-
-    def w_bump_dot(self, x1, x2):
-        term1 = (
-            -self.eta_prime(x1)
-            * (1.0 + (2.0 / np.pi) * np.arctan(x2))
-            * (self.eps1(x1) + self.delta(x2))
-        )
-        term2 = (
-            self.eta(x1)
-            * (2.0 / np.pi)
-            / (1.0 + x2 * x2)
-            * (self.delta(x1) - self.eps2(x2))
-        )
-        return term1 + term2
 
     def V(self, z):
         z = np.asarray(z, dtype=float)
         z1, z2 = z[..., 0], z[..., 1]
         inner = z1 > -1.0
-        x1 = self.psi_inverse(np.where(inner, z1, 0.0))
-        v_in = self.rho(self.v1(x1, z2)) + self.w_bump(x1, z2)
-        v_out = 2.0 + (2.0 / np.pi) * np.arctan(z2)
-        out = np.where(inner, v_in, v_out)
+        x1 = self._psi_inverse(np.where(inner, z1, 0.0))
+        with np.errstate(divide="ignore", over="ignore"):
+            eta = np.where(x1 < -self.c, np.exp(1.0 / (x1 + self.c)), 0.0)
+        a2 = (2.0 / np.pi) * np.arctan(z2)
+        v1 = np.log(np.cosh(x1)) + np.log(np.cosh(z2))
+        out = np.where(inner, (2.0 / np.pi) * np.arctan(v1) + eta * (1.0 + a2), 2.0 + a2)
         return float(out) if out.ndim == 0 else out
 
     def _field(self, z):
-        """F(z) and the rate of V along it, from one evaluation of psi^{-1}."""
+        """F(z) and the rate of V along it, each transcendental factor evaluated once."""
         z = np.asarray(z, dtype=float)
         z1, z2 = z[..., 0], z[..., 1]
         inner = z1 > -1.0
-        x1 = self.psi_inverse(np.where(inner, z1, 0.0))
-        f1 = np.where(
-            inner,
-            self.psi_prime_at_inverse(z1) * (-self.eps1(x1) - self.delta(z2)),
-            0.0,
-        )
-        f2 = np.where(inner, self.delta(x1) - self.eps2(z2), -1.0 - self.eps2(z2))
-        vin = self.rho_prime(self.v1(x1, z2)) * self.v1_dot(x1, z2) + self.w_bump_dot(
-            x1, z2
-        )
-        vout = (-1.0 - self.eps2(z2)) * (2.0 / np.pi) / (1.0 + z2 * z2)
+        x1 = self._psi_inverse(np.where(inner, z1, 0.0))
+        t1, t2 = np.tanh(x1), np.tanh(z2)
+        bump = x1 < -self.c
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ex = np.exp(1.0 / (x1 + self.c))
+            eta = np.where(bump, ex, 0.0)
+            eta_prime = np.where(bump, -ex / (x1 + self.c) ** 2, 0.0)
+        # psi'(psi^{-1}(z1)) is 1 for z1 >= 0 and 1 + z1 below
+        f1 = np.where(inner, np.where(z1 >= 0.0, 1.0, 1.0 + z1) * (-(2.0 * t1) - t2), 0.0)
+        f2 = np.where(inner, t1 - 0.5 * t2, -1.0 - 0.5 * t2)
+        v1 = np.log(np.cosh(x1)) + np.log(np.cosh(z2))
+        vin = ((2.0 / np.pi) / (1.0 + v1 * v1) * (-(2.0 * t1) * t1 - (0.5 * t2) * t2)
+               + (-eta_prime * (1.0 + (2.0 / np.pi) * np.arctan(z2)) * (2.0 * t1 + t2)
+                  + eta * (2.0 / np.pi) / (1.0 + z2 * z2) * (t1 - 0.5 * t2)))
+        vout = (-1.0 - 0.5 * t2) * (2.0 / np.pi) / (1.0 + z2 * z2)
         return np.stack([f1, f2], axis=-1), np.where(inner, vin, vout)
 
     def vdot_along_F(self, z):
@@ -241,7 +187,8 @@ class _BlowupData:
     @staticmethod
     def _h(z, vd):
         n = np.linalg.norm(z, axis=-1)
-        blend = _smoothstep01(n - 1.0)  # 0 on ||z|| <= 1, 1 beyond 2
+        u = np.clip(n - 1.0, 0.0, 1.0)
+        blend = u * u * (3.0 - 2.0 * u)  # smoothstep: 0 on ||z|| <= 1, 1 beyond 2
         # vd < 0 wherever blend > 0 (the rate only vanishes at the origin),
         # so the ratio is only formed where it is finite
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -260,7 +207,7 @@ def blowup_construction(c=3.0):
     return _BlowupData(c)
 
 
-def build_blowup_example(c=3.0, psi2_radius=12.0):
+def build_blowup_example(c=3.0):
     """The time-reparametrized planar vector field with its non-coercive V.
 
     Solutions started in the half-plane z1 <= -1 blow up in finite time
@@ -270,12 +217,13 @@ def build_blowup_example(c=3.0, psi2_radius=12.0):
 
     The parameter ``c`` must satisfy eps1(-c) < -1 and
     delta(-c) < -sup|eps2|; these are asserted at build time (c = 3 works
-    for the pinned choices).
+    for the pinned choices).  The candidate's upper envelope psi2 is
+    tabulated from V on spheres of radius up to 12.
     """
     data = _BlowupData(c)
-    if not (data.eps1(-c) < -1.0):
+    if not (2.0 * np.tanh(-c) < -1.0):
         raise ValueError(f"c={c} rejected: need eps1(-c) < -1")
-    if not (data.delta(-c) < -0.5):  # sup |eps2| = 1/2 for eps2 = tanh/2
+    if not (np.tanh(-c) < -0.5):  # sup |eps2| = 1/2 for eps2 = tanh/2
         raise ValueError(f"c={c} rejected: need delta(-c) < -sup|eps2|")
 
     def rhs(z, _d):
@@ -291,7 +239,7 @@ def build_blowup_example(c=3.0, psi2_radius=12.0):
     )
 
     # numeric upper envelope psi2: sup of V on spheres, slightly inflated
-    radii = np.linspace(0.0, psi2_radius, 121)[1:]
+    radii = np.linspace(0.0, 12.0, 121)[1:]
     angles = np.linspace(0.0, 2 * np.pi, 181)[:-1]
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     sup = np.array([np.max(data.V(r * dirs)) for r in radii])
@@ -376,6 +324,13 @@ class BlockOperatorModel:
         return self.lyapunov[:i, :i] / self.lyapunov_norms[i - 1]
 
     def V(self, x):
+        """The sum over blocks of x_i^T P_i x_i.
+
+        Along a block's smallest-eigenvalue eigendirection the float sum is
+        rounding noise from about block 25 on: at n = 40 it is off the exact
+        rational value by 1e-4 relative at block 30, and at block 120 it
+        reads 5.8e-22 where the exact value is 7.5e-22.
+        """
         X = np.zeros((self.n_blocks, self.n_blocks))
         X.flat[self._tril] = self.system.state(x)
         return float(((X @ self.lyapunov) * X).sum(axis=1) @ (1.0 / self.lyapunov_norms))
@@ -391,17 +346,15 @@ class BlockOperatorModel:
             dirs[i, _row(i)] = np.linalg.eigh(self.lyapunov_block(i + 1))[1][:, 0]
         return list(dirs)
 
-    def singular_direction(self, t, block=None):
-        """Top right-singular direction of the block propagator at time t.
+    def singular_direction(self, t):
+        """Top right-singular direction of the largest block's propagator at time t.
 
         This is the natural instability witness for epsilon > 0: the
         largest block's transient amplification peaks along it.
         """
-        i = self.n_blocks - 1 if block is None else block
-        E = expm(self.generator[:i + 1, :i + 1] * t)
-        _, _, vt = np.linalg.svd(E)
+        _, _, vt = np.linalg.svd(expm(self.generator * t))
         v = np.zeros(self.dim)
-        v[_row(i)] = vt[0]
+        v[_row(self.n_blocks - 1)] = vt[0]
         return v
 
     @cached_property

@@ -105,6 +105,24 @@ class TestBlowupExample:
             vdot = float(data.h(z) * data.vdot_along_F(z))
             assert vdot <= -np.linalg.norm(z) + 1e-9
 
+    def test_rate_matches_central_difference_of_v(self):
+        # vdot_along_F is the derivative of V along F: a central difference
+        # of V along F must agree, off the z1 = -1 seam; -1 < z1 < -0.95 is
+        # the strip where W's bump eta is active
+        data = blowup_construction(3.0)
+        rng = np.random.default_rng(0)
+        zs = np.concatenate([rng.uniform(-4.0, 4.0, size=(400, 2)),
+                             np.stack([rng.uniform(-0.99, -0.955, 100),
+                                       rng.uniform(-3.0, 3.0, 100)], axis=1)])
+        zs = zs[np.abs(zs[:, 0] + 1.0) > 0.005]
+        rates = data.vdot_along_F(zs)
+        h = 1e-6
+        for z, rate in zip(zs, rates):
+            F = data.F2(z) / data.h(z)
+            diff = (data.V(z + h * F) - data.V(z - h * F)) / (2 * h)
+            assert rate == pytest.approx(diff, rel=1e-6, abs=1e-12)
+            assert data.vdot_along_F(z) == rate  # a row alone, bit for bit
+
     def test_candidate_positive_and_bounded(self):
         _, cand = build_blowup_example(3.0)
         rng = np.random.default_rng(1)

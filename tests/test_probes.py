@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from nclyap import probes
 from nclyap.comparison import identity_table, power_table
 from nclyap.models import (
     build_l2_block_model,
@@ -118,6 +119,29 @@ class TestAttractivity:
         traj = flow(model, 4.0, [0.0, 1.0], step=2e-5)
         t_star = traj.times[np.nonzero(np.abs(traj.states[:, 1]) <= 1e-6)[0][0]]
         assert all(v <= 2 * t_star for v in report.tables["tau"].values())
+
+    def test_ugatt_draws_each_budget_doubling_once_per_radius(self, monkeypatch):
+        # every eps at a radius reuses that radius's doubling draws: 2 flows
+        # per signal for each radius (the base draw and one doubling), over
+        # 3 radii and 6 signals, where a draw per (radius, eps) made 54
+        calls = []
+        flow_batch = probes.flow_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return flow_batch(*args, **kwargs)
+
+        monkeypatch.setattr(probes, "flow_batch", counting)
+        report = probe_attractivity(build_ugatt_example(), "UGATT", eps_grid=(0.05, 0.1),
+                                    budget=3, horizon=4.0, step=2e-2, stability_rel=0.25,
+                                    seed=0)
+        assert len(calls) == 36
+        assert report.verdict == "consistent"
+        assert report.tables["tau"] == {
+            "r=0.5,eps=0.05": 0.7000000000000001, "r=0.5,eps=0.1": 0.58,
+            "r=1.0,eps=0.05": 1.1, "r=1.0,eps=0.1": 0.98,
+            "r=2.0,eps=0.05": 1.52, "r=2.0,eps=0.1": 1.4000000000000001,
+        }
 
     def test_block_eps_quarter_ugas_refuted(self):
         block = build_l2_block_model(30, 0.25)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nclyap import systems
 from nclyap.models import build_blowup_example, build_linear, build_scalar_example
@@ -74,6 +74,7 @@ class TestDisturbanceSignal:
             assert back(float(t)) == d2(float(t))
 
     @given(st.floats(min_value=0.01, max_value=5.0), st.floats(min_value=0, max_value=6))
+    @example(cut=0.9638454296688449, t=0.5)  # (cut + 0.5) - cut != 0.5 in floats
     @settings(max_examples=60)
     def test_concat_shift_property(self, cut, t):
         d1 = DisturbanceSignal((0.0, 1.0), (1.0, -1.0))
@@ -212,7 +213,7 @@ class TestFlowBatch:
 
 class TestAxioms:
     def test_linear_model_passes(self):
-        report = check_axioms(decaying_model(), sample_budget=8, tol=1e-6, seed=1)
+        report = check_axioms(decaying_model(), sample_budget=8, seed=1)
         assert report.identity_max == 0.0
         assert report.causality_max == 0.0
         assert report.cocycle_max <= 1e-6
@@ -220,7 +221,7 @@ class TestAxioms:
 
     def test_propagator_model_passes_tight(self):
         lin = build_linear([[-1.0, 2.0], [0.0, -2.0]])
-        report = check_axioms(lin, sample_budget=8, tol=1e-10, seed=2)
+        report = check_axioms(lin, sample_budget=8, seed=2)
         assert report.cocycle_max <= 1e-10
 
     def test_cocycle_fourth_order_in_step(self):
