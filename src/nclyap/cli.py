@@ -14,13 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .comparison import identity_table
+from .comparison import identity_table, power_table
 from .lyapunov import verify_decay
 from .models import (
     build_blowup_example,
@@ -31,7 +31,7 @@ from .models import (
     model_from_descriptor,
 )
 from .probes import classify_rep, classify_rfc, estimate_switched_bound, probe_attractivity
-from .systems import DisturbanceSignal, _unit_direction, flow, flow_batch
+from .systems import DisturbanceSignal, _csv, _unit_direction, flow, flow_batch
 from .converse import ConverseConfig, assemble_w
 
 __all__ = ["ExperimentConfig", "run", "main"]
@@ -84,13 +84,7 @@ class ExperimentConfig:
         unknown = set(data) - {"task", "model", "params", "seed", "out"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(
-            task=data.get("task", ""),
-            model=data.get("model", {}),
-            params=data.get("params", {}),
-            seed=data.get("seed", 0),
-            out=data.get("out", "out"),
-        )
+        return cls(**{"task": "", **data})
 
 
 def _write(outdir, name, text):
@@ -128,6 +122,12 @@ def _parse_signal(spec):
     return DisturbanceSignal(tuple(p[0] for p in spec), tuple(p[1] for p in spec))
 
 
+def _given(params, *keys):
+    """The params among ``keys`` that are set, to pass on as keywords: a key
+    left out keeps the library function's own default."""
+    return {k: params[k] for k in keys if k in params}
+
+
 def _shell_states(seed, dim, count, r_lo, r_hi):
     """``count`` states in random directions with norms uniform in [r_lo, r_hi]."""
     rng = np.random.default_rng(seed)
@@ -144,7 +144,7 @@ def _task_simulate(config, outdir, lines):
     model = model_from_descriptor(config.model)
     x = np.asarray(p.get("x", [1.0] * model.dim), dtype=float)
     traj = flow(model, float(p.get("t", 1.0)), x, _parse_signal(p.get("d")),
-                step=float(p.get("step", 1e-3)))
+                **_given(p, "step"))
     _write(outdir, "trajectory.csv", traj.to_csv())
     if traj.escaped is not None:
         lines.append(f"ESCAPED: bracket ({traj.escaped[0]!r}, {traj.escaped[1]!r})")
@@ -160,18 +160,12 @@ def _task_probe(config, outdir, lines):
     p = config.params
     model = model_from_descriptor(config.model)
     notion = p.get("notion", "RFC")
-    kw = {"seed": config.seed}
-    if notion == "RFC":
-        report = classify_rfc(model, budget=p.get("budget", 4),
-                              step=p.get("step", 2e-2), **kw)
-    elif notion == "REP":
-        report = classify_rep(model, budget=p.get("budget", 4),
-                              step=p.get("step", 2e-2), **kw)
+    if notion in ("RFC", "REP"):
+        classify = classify_rfc if notion == "RFC" else classify_rep
+        report = classify(model, seed=config.seed, **_given(p, "budget", "step"))
     else:
-        report = probe_attractivity(
-            model, notion, budget=p.get("budget", 6),
-            horizon=p.get("horizon", 10.0), magnitude=p.get("magnitude", 1.0),
-            step=p.get("step", 1e-2), **kw)
+        report = probe_attractivity(model, notion, seed=config.seed,
+                                    **_given(p, "budget", "horizon", "magnitude", "step"))
     _write(outdir, "report.json", report.to_json())
     lines.append(f"{notion}: {report.verdict} ({report.notes})")
     return 1 if report.verdict == "refuted" else 0
@@ -188,14 +182,12 @@ def _task_verify(config, outdir, lines):
     else:
         raise ConfigError("verify task needs a model with an attached candidate "
                           "(l2_block or blowup)")
-    from .comparison import power_table
-
     alpha = power_table(p.get("alpha_power", 1.0), r_max=64.0,
                         scale=p.get("alpha_scale", 1.0))
     r_lo, r_hi = p.get("radius_range", [1.0, 2.0])
     xs = _shell_states(config.seed, model.dim, int(p.get("samples", 20)), r_lo, r_hi)
     report = verify_decay(cand, alpha, model, xs, [model.default_signal()],
-                          tol=p.get("tol", 1e-3), step=p.get("step", 1e-4))
+                          **_given(p, "tol", "step"))
     _write(outdir, "decay_report.json", report.to_json())
     _write(outdir, "decay_report.csv", report.to_csv())
     lines.append(f"decay check: {report.verdict} ({report.summary()})")
@@ -206,10 +198,8 @@ def _task_construct(config, outdir, lines):
     p = config.params
     model = model_from_descriptor(config.model)
     probe = probe_attractivity(
-        model, "UGAS", r_grid=tuple(p.get("r_grid", (0.5, 1.0, 2.0))),
-        budget=p.get("budget", 6), horizon=p.get("horizon", 10.0),
-        seed=config.seed, magnitude=p.get("magnitude", 1.0),
-        step=p.get("step", 1e-2))
+        model, "UGAS", seed=config.seed,
+        **_given(p, "r_grid", "budget", "horizon", "magnitude", "step"))
     if probe.verdict == "refuted":
         _write(outdir, "ugas_refutation.json", probe.to_json())
         lines.append("construction aborted: UGAS refuted")
@@ -217,11 +207,9 @@ def _task_construct(config, outdir, lines):
     cfg = ConverseConfig.from_kl_bound(
         probe.tables["beta"], k_max=p.get("k_max", 4),
         disturbance_budget=p.get("budget", 6), seed=config.seed,
-        quadrature_step=p.get("quadrature_step", 1e-3),
-        R=p.get("R", 1.0), magnitude=p.get("magnitude", 1.0))
+        **_given(p, "quadrature_step", "R", "magnitude"))
     W = assemble_w(model, cfg, lipschitz_budget=p.get("lipschitz_budget", 6))
-    grid = _shell_states(config.seed, model.dim, int(p.get("grid_points", 16)),
-                         0.2, p.get("R", 1.0))
+    grid = _shell_states(config.seed, model.dim, int(p.get("grid_points", 16)), 0.2, cfg.R)
     _write(outdir, "w_table.csv", W.export_csv(grid))
     _write(outdir, "w_metadata.json", W.export_metadata())
     lines.append(f"assembled W with k_max={cfg.k_max}, weights={[float(w) for w in W.weights]}")
@@ -239,7 +227,7 @@ def _reproduce_ex26(config, outdir, lines):
         "iii": ("refuted", "consistent"),
         "iv": ("consistent", "consistent"),
     }
-    rows = ["variant,rfc,rep,expected_rfc,expected_rep,match"]
+    rows = []
     ok = True
     for variant, (e_rfc, e_rep) in expected.items():
         model = build_scalar_example(variant)
@@ -249,13 +237,14 @@ def _reproduce_ex26(config, outdir, lines):
                            seed=config.seed, step=2e-2)
         match = (rfc.verdict, rep.verdict) == (e_rfc, e_rep)
         ok = ok and match
-        rows.append(f"{variant},{rfc.verdict},{rep.verdict},{e_rfc},{e_rep},{int(match)}")
+        rows.append((variant, rfc.verdict, rep.verdict, e_rfc, e_rep, match))
         for tag, report in (("rfc", rfc), ("rep", rep)):
             if report.verdict == "refuted":
                 _write(outdir, f"ex26_witness_{variant}_{tag}.json", report.to_json())
         lines.append(f"variant ({variant}): RFC {rfc.verdict}, REP {rep.verdict}"
                      + ("" if match else "  <-- MISMATCH"))
-    _write(outdir, "ex26_table.csv", "\n".join(rows) + "\n")
+    _write(outdir, "ex26_table.csv",
+           _csv(["variant", "rfc", "rep", "expected_rfc", "expected_rep", "match"], rows))
     return 0 if ok else 1
 
 
@@ -267,12 +256,9 @@ def _reproduce_ex213(config, outdir, lines):
     rep = classify_rep(model, h_grid=(0.5,), eps_grid=(0.5,), budget=4,
                        seed=config.seed, step=5e-3,
                        magnitudes=(1.0, 10.0, 100.0, 1000.0))
-    rows = ["quantity,value"]
-    for k, v in (ugatt.tables.get("tau") or {}).items():
-        rows.append(f"tau[{k}],{v!r}")
-    rows.append(f"ugatt_verdict,{ugatt.verdict}")
-    rows.append(f"rep_verdict,{rep.verdict}")
-    _write(outdir, "ex213_table.csv", "\n".join(rows) + "\n")
+    rows = [(f"tau[{k}]", v) for k, v in (ugatt.tables.get("tau") or {}).items()]
+    rows += [("ugatt_verdict", ugatt.verdict), ("rep_verdict", rep.verdict)]
+    _write(outdir, "ex213_table.csv", _csv(["quantity", "value"], rows))
     if rep.verdict == "refuted":
         _write(outdir, "ex213_rep_witness.json", rep.to_json())
     lines.append(f"UGATT: {ugatt.verdict}; REP: {rep.verdict} "
@@ -282,7 +268,7 @@ def _reproduce_ex213(config, outdir, lines):
 
 def _reproduce_ex61(config, outdir, lines):
     model, cand = build_blowup_example(3.0)
-    rows = ["z1,z2,escaped,bracket_lo,bracket_hi,final_norm"]
+    rows = []
     ok = True
     grid = [(z1, z2) for z1 in np.linspace(-4.0, -1.0, 7) for z2 in np.linspace(-2.0, 2.0, 9)]
     for (z1, z2), traj in zip(grid, flow_batch(model, 12.0, grid, step=1e-2)):
@@ -290,16 +276,18 @@ def _reproduce_ex61(config, outdir, lines):
         ok = ok and esc
         lo, hi = traj.escaped if esc else ("", "")
         fn = model.norm(traj.final_state)
-        rows.append(f"{float(z1)!r},{float(z2)!r},{int(esc)},{lo!r},{hi!r},{fn!r}")
-    _write(outdir, "ex61_escape.csv", "\n".join(rows) + "\n")
-    conv_rows = ["z1,z2,final_norm,converged"]
+        rows.append((z1, z2, esc, lo, hi, fn))
+    _write(outdir, "ex61_escape.csv",
+           _csv(["z1", "z2", "escaped", "bracket_lo", "bracket_hi", "final_norm"], rows))
+    conv_rows = []
     safe = [(1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (0.5, -1.5), (1.4, 1.4)]
     for (z1, z2), traj in zip(safe, flow_batch(model, 15.0, safe, step=5e-3)):
         fn = model.norm(traj.final_state)
         conv = traj.escaped is None and fn < 0.01
         ok = ok and conv
-        conv_rows.append(f"{z1!r},{z2!r},{fn!r},{int(conv)}")
-    _write(outdir, "ex61_convergence.csv", "\n".join(conv_rows) + "\n")
+        conv_rows.append((z1, z2, fn, conv))
+    _write(outdir, "ex61_convergence.csv",
+           _csv(["z1", "z2", "final_norm", "converged"], conv_rows))
     xs = _shell_states(config.seed, 2, 12, 2.0, 4.0)
     report = verify_decay(cand, identity_table(8.0), model, xs,
                           [model.default_signal()], tol=5e-3,
@@ -318,12 +306,9 @@ def _reproduce_ex62(config, outdir, lines):
     block = build_l2_block_model(n, eps)
     model, cand = block.system, block.candidate
     lam = block.lambda_mins()
-    rows = ["i,lambda_min"]
-    for i, v in enumerate(lam, 1):
-        rows.append(f"{i},{float(v)!r}")
-    _write(outdir, "ex62_lambda_min.csv", "\n".join(rows) + "\n")
+    _write(outdir, "ex62_lambda_min.csv", _csv(["i", "lambda_min"], enumerate(lam, 1)))
     rate = 2 * eps - 1.0
-    decay_rows = ["trajectory,t,V_ratio,bound"]
+    decay_rows = []
     ok = True
     for j, x in enumerate(_shell_states(config.seed, model.dim, 10, 0.5, 2.0)):
         v0 = cand(x)
@@ -333,8 +318,8 @@ def _reproduce_ex62(config, outdir, lines):
             ratio = cand(traj.state_at(t)) / v0
             bound = float(np.exp(rate * t)) * 1.001
             ok = ok and ratio <= bound
-            decay_rows.append(f"{j},{t!r},{ratio!r},{bound!r}")
-    _write(outdir, "ex62_v_decay.csv", "\n".join(decay_rows) + "\n")
+            decay_rows.append((j, t, ratio, bound))
+    _write(outdir, "ex62_v_decay.csv", _csv(["trajectory", "t", "V_ratio", "bound"], decay_rows))
     if eps == 0.0:
         dec = bool(np.all(np.diff(lam[: min(30, n)]) < 0))
         ok = ok and dec and (n < 30 or lam[29] < 0.05)
@@ -345,9 +330,8 @@ def _reproduce_ex62(config, outdir, lines):
         growth = model.norm(traj.final_state) / model.norm(wit)
         grew = growth >= float(np.exp(0.2 * 10.0))
         ok = ok and grew
-        _write(outdir, "ex62_instability.csv",
-               "quantity,value\ngrowth_factor,%r\nthreshold,%r\n"
-               % (growth, float(np.exp(2.0))))
+        _write(outdir, "ex62_instability.csv", _csv(
+            ["quantity", "value"], [("growth_factor", growth), ("threshold", np.exp(2.0))]))
         lines.append(f"instability growth factor over t=10: {growth:.3f} "
                      f"(needs >= {np.exp(2.0):.3f}) while V decays")
     lines.append(f"V decay factors within e^{{(2 eps - 1) t}} x 1.001: {ok}")
@@ -356,21 +340,13 @@ def _reproduce_ex62(config, outdir, lines):
 
 def _reproduce_switched(config, outdir, lines):
     p = config.params
-    modes = p.get("modes")
-    if modes is None:
-        modes = [[[-1.0, 0.0], [0.0, -2.0]], [[-1.5, 0.5], [0.0, -0.8]]]
-    sw = build_switched_linear(modes)
+    sw = build_switched_linear(
+        p.get("modes", [[[-1.0, 0.0], [0.0, -2.0]], [[-1.5, 0.5], [0.0, -0.8]]]))
     fit = estimate_switched_bound(sw, horizon=p.get("horizon", 10.0),
                                   budget=p.get("budget", 10), seed=config.seed)
-    rows = [
-        "quantity,value",
-        f"M,{fit.M!r}",
-        f"omega,{fit.omega!r}",
-        f"M_tilde,{fit.M_tilde!r}",
-        f"h,{fit.h!r}",
-        f"chain_max_ratio,{fit.chain_max_ratio!r}",
-    ]
-    _write(outdir, "switched_bound.csv", "\n".join(rows) + "\n")
+    quantities = ("M", "omega", "M_tilde", "h", "chain_max_ratio")
+    _write(outdir, "switched_bound.csv",
+           _csv(["quantity", "value"], [(q, getattr(fit, q)) for q in quantities]))
     _write(outdir, "switched_witness_signal.json", fit.witness_signal.to_json())
     ok = fit.chain_max_ratio <= 1.0 + 1e-9 and fit.M >= 1.0
     lines.append(f"fitted envelope M={fit.M:.4f}, omega={fit.omega:.4f}; "
@@ -417,69 +393,65 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
 
     def add_command(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+        # a flag left out is absent from the params, as a key a config file
+        # leaves out; the task function holds its default
+        return sub.add_parser(name, help=help_text, parents=[common],
+                              argument_default=argparse.SUPPRESS)
 
     sim = add_command("simulate", "integrate one trajectory")
     sim.add_argument("--model", required=True, help="JSON model descriptor")
-    sim.add_argument("--t", type=float, default=1.0)
-    sim.add_argument("--x", default=None, help="comma-separated initial state")
-    sim.add_argument("--d", default=None, help="constant value or JSON signal")
-    sim.add_argument("--step", type=float, default=1e-3)
+    sim.add_argument("--t", type=float)
+    sim.add_argument("--x", type=_floats, help="comma-separated initial state")
+    sim.add_argument("--d", type=_number_or_text, help="constant value or JSON signal")
+    sim.add_argument("--step", type=float)
 
     pr = add_command("probe", "classify a stability notion")
     pr.add_argument("--model", required=True)
-    pr.add_argument("--notion", default="RFC")
-    pr.add_argument("--budget", type=int, default=6)
-    pr.add_argument("--horizon", type=float, default=10.0)
+    pr.add_argument("--notion")
+    pr.add_argument("--budget", type=int)
+    pr.add_argument("--horizon", type=float)
 
     ver = add_command("verify", "check a candidate's decay inequality")
     ver.add_argument("--model", required=True)
-    ver.add_argument("--alpha-power", type=float, default=1.0)
-    ver.add_argument("--samples", type=int, default=20)
+    ver.add_argument("--alpha-power", type=float)
+    ver.add_argument("--samples", type=int)
 
     con = add_command("construct", "assemble a converse Lyapunov function")
     con.add_argument("--model", required=True)
-    con.add_argument("--kmax", type=int, default=4)
-    con.add_argument("--budget", type=int, default=6)
+    con.add_argument("--kmax", type=int, dest="k_max")
+    con.add_argument("--budget", type=int)
 
     rep = add_command("reproduce", "re-run a pinned example scenario")
     rep.add_argument("target", choices=REPRODUCE_TARGETS)
-    rep.add_argument("--n", type=int, default=40)
-    rep.add_argument("--epsilon", type=float, default=0.0)
-    rep.add_argument("--budget", type=int, default=10)
+    rep.add_argument("--n", type=int)
+    rep.add_argument("--epsilon", type=float)
+    rep.add_argument("--budget", type=int)
     return parser
 
 
+def _floats(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _number_or_text(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _config_from_args(args):
-    if args.config:
-        cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-        seed = args.seed if args.seed is not None else cfg.seed
-        out = args.out if args.out is not None else cfg.out
-        return ExperimentConfig(cfg.task, cfg.model, cfg.params, seed, out)
-    if not args.command:
+    params = dict(vars(args))
+    config, command = params.pop("config"), params.pop("command")
+    # --seed and --out override the config file's values, or the defaults
+    overrides = {k: v for k in ("seed", "out") if (v := params.pop(k)) is not None}
+    if config:
+        return replace(ExperimentConfig.from_json(Path(config).read_text()), **overrides)
+    if not command:
         raise ConfigError("either --config or a subcommand is required")
-    seed = args.seed if args.seed is not None else 0
-    out = args.out if args.out is not None else "out"
-    if args.command == "reproduce":
-        params = {"target": args.target, "n": args.n, "epsilon": args.epsilon,
-                  "budget": args.budget}
-        return ExperimentConfig("reproduce", {}, params, seed, out)
-    if args.command == "simulate":
-        params = {"t": args.t, "step": args.step}
-        if args.x is not None:
-            params["x"] = [float(v) for v in args.x.split(",")]
-        if args.d is not None:
-            try:
-                params["d"] = float(args.d)
-            except ValueError:
-                params["d"] = args.d
-    elif args.command == "probe":
-        params = {"notion": args.notion, "budget": args.budget, "horizon": args.horizon}
-    elif args.command == "verify":
-        params = {"alpha_power": args.alpha_power, "samples": args.samples}
-    else:
-        params = {"k_max": args.kmax, "budget": args.budget}
-    return ExperimentConfig(args.command, json.loads(args.model), params, seed, out)
+    # what is left are the subcommand flags given: an omitted flag is an omitted key
+    model = json.loads(params.pop("model", "{}"))
+    return ExperimentConfig(command, model, params, **overrides)
 
 
 def main(argv=None):

@@ -14,10 +14,11 @@ factorization fit ``sontag_factorize`` and the comparison-principle surface
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from .systems import _csv
 
 __all__ = [
     "TabulatedMonotone",
@@ -29,6 +30,7 @@ __all__ = [
     "kl_from_alpha",
     "identity_table",
     "power_table",
+    "invert_table",
 ]
 
 CLASS_TAGS = ("K", "Kinf", "L")
@@ -123,29 +125,10 @@ class TabulatedMonotone:
                 y = np.where(over, self.values[-1] + self.slope * (x - self.grid[-1]), y)
         return float(y) if y.ndim == 0 else y
 
-    def inverse(self, y):
-        """Piecewise-linear inverse for strictly increasing tables.
-
-        Flat numerical segments cannot occur (strict increase is enforced
-        at construction); values beyond the table range invert through the
-        extrapolation tail.
-        """
-        if self.class_tag not in ("K", "Kinf"):
-            raise ValueError("inverse requires a class K or Kinf table")
-        y = np.asarray(y, dtype=float)
-        x = np.interp(y, self.values, self.grid)
-        over = y > self.values[-1]
-        if np.any(over):
-            x = np.where(over, self.grid[-1] + (y - self.values[-1]) / self.slope, x)
-        return float(x) if x.ndim == 0 else x
-
     def to_csv(self):
         """Two-column CSV with a header line carrying the class tag."""
-        buf = io.StringIO()
-        buf.write(f"abscissa,value,class={self.class_tag},slope={float(self.slope)!r}\n")
-        for s, v in zip(self.grid, self.values):
-            buf.write(f"{float(s)!r},{float(v)!r}\n")
-        return buf.getvalue()
+        head = ["abscissa", "value", f"class={self.class_tag}", f"slope={float(self.slope)!r}"]
+        return _csv(head, zip(self.grid, self.values))
 
     @classmethod
     def from_csv(cls, text):
@@ -155,6 +138,14 @@ class TabulatedMonotone:
         slope = float(head[3].split("=", 1)[1])
         rows = np.array([[float(a) for a in ln.split(",")] for ln in lines[1:]])
         return cls(rows[:, 0], rows[:, 1], tag, slope=slope)
+
+
+def invert_table(f):
+    """Exact piecewise-linear inverse of a strictly increasing table; values
+    beyond the table range invert through the extrapolation tail."""
+    if f.class_tag not in ("K", "Kinf"):
+        raise ValueError("can only invert class K/Kinf tables")
+    return TabulatedMonotone(f.values, f.grid, f.class_tag, slope=1.0 / f.slope)
 
 
 def identity_table(r_max=10.0, n=101):
@@ -235,12 +226,8 @@ class KLSurface:
 
     def to_csv(self):
         """CSV with the r grid as header row and the t grid as header column."""
-        buf = io.StringIO()
-        buf.write("kind," + self.kind + "\n")
-        buf.write("t\\r," + ",".join(repr(float(r)) for r in self.r_grid) + "\n")
-        for j, t in enumerate(self.t_grid):
-            buf.write(repr(float(t)) + "," + ",".join(repr(float(x)) for x in self.values[:, j]) + "\n")
-        return buf.getvalue()
+        return _csv(["kind", self.kind],
+                    [["t\\r", *self.r_grid], *zip(self.t_grid, *self.values)])
 
     @classmethod
     def from_csv(cls, text):
@@ -321,7 +308,7 @@ def sontag_factorize(beta):
 
     def fit_alpha1(alpha2):
         with np.errstate(over="ignore", invalid="ignore"):
-            req = alpha2.inverse(B) * et[None, :]
+            req = invert_table(alpha2)(B) * et[None, :]
         need = np.max(req, axis=1)
         vals = np.maximum.accumulate(np.maximum(r, need))
         if not np.all(np.isfinite(vals)):

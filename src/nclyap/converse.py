@@ -15,14 +15,14 @@ downstream rather than inherited.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comparison import TabulatedMonotone, gk_threshold, lipschitz_minorant, sontag_factorize
-from .systems import EscapeError, _as_system, _unit_direction, flow, flow_batch, sub_rng
+from .comparison import (TabulatedMonotone, gk_threshold, invert_table, lipschitz_minorant,
+                         sontag_factorize)
+from .systems import EscapeError, _as_system, _csv, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
     "ConverseConfig",
@@ -32,15 +32,7 @@ __all__ = [
     "construct_vk_integral",
     "construct_vk_max",
     "assemble_w",
-    "invert_table",
 ]
-
-
-def invert_table(f):
-    """Exact piecewise-linear inverse of a strictly increasing table."""
-    if f.class_tag not in ("K", "Kinf"):
-        raise ValueError("can only invert class K/Kinf tables")
-    return TabulatedMonotone(f.values, f.grid, f.class_tag, slope=1.0 / f.slope)
 
 
 @dataclass(frozen=True)
@@ -277,13 +269,9 @@ class ConstructedLyapunov:
 
     def export_csv(self, state_grid):
         """Sampled W over a user-supplied state grid."""
-        buf = io.StringIO()
         dim = _as_system(self.evaluators[0].model).dim
-        buf.write(",".join(f"x_{i+1}" for i in range(dim)) + ",W\n")
-        for x in state_grid:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            buf.write(",".join(repr(float(v)) for v in x) + f",{self(x)!r}\n")
-        return buf.getvalue()
+        xs = (np.atleast_1d(np.asarray(x, dtype=float)) for x in state_grid)
+        return _csv([*(f"x_{i+1}" for i in range(dim)), "W"], ((*x, self(x)) for x in xs))
 
     def export_metadata(self):
         return json.dumps(

@@ -8,13 +8,12 @@ verdict means "no violation found" at the given budget.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import EscapeError, _unit_direction, flow, flow_batch, sub_rng
+from .systems import EscapeError, _csv, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
     "LyapunovCandidate",
@@ -197,11 +196,8 @@ class DecayReport:
         )
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write("dini,bound,margin,escaped\n")
-        for s in self.samples:
-            buf.write(f"{s.dini!r},{s.bound!r},{s.margin!r},{int(s.escaped)}\n")
-        return buf.getvalue()
+        return _csv(["dini", "bound", "margin", "escaped"],
+                    ((s.dini, s.bound, s.margin, s.escaped) for s in self.samples))
 
 
 def verify_decay(V, alpha, model, state_samples, disturbance_samples, tol=1e-3,
@@ -283,11 +279,8 @@ class CoercivityProfile:
     noncoercive_flag: bool
 
     def to_csv(self):
-        buf = io.StringIO()
-        buf.write("radius,inf,sup\n")
-        for r, lo, hi in zip(self.radii, self.inf_estimates, self.sup_estimates):
-            buf.write(f"{float(r)!r},{float(lo)!r},{float(hi)!r}\n")
-        return buf.getvalue()
+        return _csv(["radius", "inf", "sup"],
+                    zip(self.radii, self.inf_estimates, self.sup_estimates))
 
 
 def coercivity_profile(V, model, radii, direction_budget=64, *, seed=0,

@@ -113,6 +113,13 @@ def build_ugatt_example():
 # the planar blow-up example with a non-coercive Lyapunov function
 # ---------------------------------------------------------------------------
 
+def _log_cosh(a):
+    """log cosh a without overflow: past |a| = 20, cosh a is e^|a| / 2 to
+    within 1e-17 relative, so log cosh a is |a| - log 2 there."""
+    a = np.abs(a)
+    return np.where(a > 20.0, a - np.log(2.0), np.log(np.cosh(np.minimum(a, 20.0))))
+
+
 class _BlowupData:
     """Pinned instantiation of the blow-up construction.
 
@@ -136,42 +143,40 @@ class _BlowupData:
     def __init__(self, c):
         self.c = float(c)
 
-    @staticmethod
-    def _psi_inverse(z1):
-        # inverse of psi(x) = x (x >= 0), e^x - 1 (x < 0); domain z1 > -1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(z1 >= 0.0, z1, np.log1p(np.maximum(z1, -1.0 + 1e-300)))
-
-    def V(self, z):
+    def _prelude(self, z):
+        """The factors V and F share, for states z as rows: z1, z2, the mask
+        z1 > -1, x1 = psi^{-1}(z1), the bump mask x1 < -c, exp(1/(x1 + c)),
+        eta, (2/pi) arctan(z2) and v1."""
         z = np.asarray(z, dtype=float)
         z1, z2 = z[..., 0], z[..., 1]
         inner = z1 > -1.0
-        x1 = self._psi_inverse(np.where(inner, z1, 0.0))
-        with np.errstate(divide="ignore", over="ignore"):
-            eta = np.where(x1 < -self.c, np.exp(1.0 / (x1 + self.c)), 0.0)
+        w = np.where(inner, z1, 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # psi(x) = x (x >= 0), e^x - 1 (x < 0) inverts on z1 > -1
+            x1 = np.where(w >= 0.0, w, np.log1p(np.maximum(w, -1.0 + 1e-300)))
+            ex = np.exp(1.0 / (x1 + self.c))
+        bump = x1 < -self.c
+        eta = np.where(bump, ex, 0.0)
         a2 = (2.0 / np.pi) * np.arctan(z2)
-        v1 = np.log(np.cosh(x1)) + np.log(np.cosh(z2))
+        v1 = _log_cosh(x1) + _log_cosh(z2)
+        return z1, z2, inner, x1, bump, ex, eta, a2, v1
+
+    def V(self, z):
+        _, _, inner, _, _, _, eta, a2, v1 = self._prelude(z)
         out = np.where(inner, (2.0 / np.pi) * np.arctan(v1) + eta * (1.0 + a2), 2.0 + a2)
         return float(out) if out.ndim == 0 else out
 
     def _field(self, z):
         """F(z) and the rate of V along it, each transcendental factor evaluated once."""
-        z = np.asarray(z, dtype=float)
-        z1, z2 = z[..., 0], z[..., 1]
-        inner = z1 > -1.0
-        x1 = self._psi_inverse(np.where(inner, z1, 0.0))
+        z1, z2, inner, x1, bump, ex, eta, a2, v1 = self._prelude(z)
         t1, t2 = np.tanh(x1), np.tanh(z2)
-        bump = x1 < -self.c
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ex = np.exp(1.0 / (x1 + self.c))
-            eta = np.where(bump, ex, 0.0)
             eta_prime = np.where(bump, -ex / (x1 + self.c) ** 2, 0.0)
         # psi'(psi^{-1}(z1)) is 1 for z1 >= 0 and 1 + z1 below
         f1 = np.where(inner, np.where(z1 >= 0.0, 1.0, 1.0 + z1) * (-(2.0 * t1) - t2), 0.0)
         f2 = np.where(inner, t1 - 0.5 * t2, -1.0 - 0.5 * t2)
-        v1 = np.log(np.cosh(x1)) + np.log(np.cosh(z2))
         vin = ((2.0 / np.pi) / (1.0 + v1 * v1) * (-(2.0 * t1) * t1 - (0.5 * t2) * t2)
-               + (-eta_prime * (1.0 + (2.0 / np.pi) * np.arctan(z2)) * (2.0 * t1 + t2)
+               + (-eta_prime * (1.0 + a2) * (2.0 * t1 + t2)
                   + eta * (2.0 / np.pi) / (1.0 + z2 * z2) * (t1 - 0.5 * t2)))
         vout = (-1.0 - 0.5 * t2) * (2.0 / np.pi) / (1.0 + z2 * z2)
         return np.stack([f1, f2], axis=-1), np.where(inner, vin, vout)

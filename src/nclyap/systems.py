@@ -65,6 +65,21 @@ def _rational(x):
     return Fraction(x)
 
 
+def _csv(header, rows):
+    """CSV text of a header and rows of cells, one line each.  Strings are
+    written as they are, ints and bools as integers, and floats and numpy
+    scalars in their shortest round-trip form, ``repr(float(v))``."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in (header, *rows))
+
+
+def _csv_cell(v):
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, int, np.bool_, np.integer)):
+        return str(int(v))
+    return repr(float(v))
+
+
 def _unit_direction(rng, dim):
     """A uniformly random unit vector (zero in the null event of a zero draw)."""
     v = rng.normal(size=dim)
@@ -109,6 +124,8 @@ class DisturbanceSignal:
         vals = tuple(self.values)
         if len(bp) != len(vals) or not bp:
             raise ValueError("need one value per breakpoint")
+        if not all(map(math.isfinite, bp)):
+            raise ValueError("breakpoints must be finite")
         if bp[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
         if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
@@ -203,6 +220,9 @@ class DisturbanceSet:
             raise ValueError("kind must be interval or finite")
         if self.kind == "finite" and not self.members:
             raise ValueError("finite set needs members")
+        # NaN fails this comparison; infinite bounds pass it
+        if self.kind == "interval" and not self.lo <= self.hi:
+            raise ValueError(f"interval needs lo <= hi, got [{self.lo!r}, {self.hi!r}]")
 
     @classmethod
     def real_line(cls):
@@ -331,15 +351,9 @@ class Trajectory:
         return (1 - w) * self.states[j] + w * self.states[j + 1]
 
     def to_csv(self):
-        dim = self.states.shape[1]
-        head = "t," + ",".join(f"x_{i+1}" for i in range(dim)) + ",d"
-        lines = [head]
-        for t, s in zip(self.times, self.states):
-            dval = self.signal.value_at(float(t))
-            lines.append(
-                f"{float(t)!r}," + ",".join(repr(float(v)) for v in s) + f",{dval!r}"
-            )
-        return "\n".join(lines) + "\n"
+        head = ["t", *(f"x_{i+1}" for i in range(self.states.shape[1])), "d"]
+        return _csv(head, ((t, *s, self.signal.value_at(float(t)))
+                           for t, s in zip(self.times, self.states)))
 
 
 def _as_system(model):
@@ -378,10 +392,10 @@ def flow_batch(model, t, X, d=None, step=1e-3):
     row alone.  Yields one ``Trajectory`` per row, integrating a chunk of at
     most ``_CHUNK_BYTES`` of states when its first row is asked for.
     """
-    if t < 0:
-        raise ValueError("horizon must be nonnegative")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"horizon t must be finite and nonnegative, got {t!r}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step!r}")
     X = _states(model, X)
     if d is None:
         d = model.default_signal()

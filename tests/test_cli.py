@@ -74,6 +74,22 @@ class TestProbeTask:
             seed=0, out=str(tmp_path))
         assert run(cfg) == 0
 
+    def test_flags_and_config_run_the_same_probe(self, tmp_path):
+        # an omitted flag means what an omitted config key means; RFC's
+        # report here depends on the budget
+        model = {"kind": "scalar_example", "variant": "iii"}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(ExperimentConfig("probe", model, {"notion": "RFC"}).to_json())
+        runs = [tmp_path / "config", tmp_path / "flags"]
+        status = [main(["--config", str(cfg_path), "--out", str(runs[0])]),
+                  main(["--out", str(runs[1]), "probe", "--model", json.dumps(model),
+                        "--notion", "RFC"])]
+        assert status[0] == status[1]
+        reports = [(d / "report.json").read_text() for d in runs]
+        assert reports[0] == reports[1]
+        params = [json.loads((d / "manifest.json").read_text())["config"]["params"] for d in runs]
+        assert params[0] == params[1] == {"notion": "RFC"}
+
 
 class TestConstructTask:
     def test_linear_construction_artifacts(self, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,20 @@ class TestBlowupExample:
             z = np.array([r * np.cos(th), r * np.sin(th)])
             vdot = float(data.h(z) * data.vdot_along_F(z))
             assert vdot <= -np.linalg.norm(z) + 1e-9
+
+    def test_decay_rate_holds_at_large_states(self):
+        # log cosh of |x1| or |z2| past 710 must not overflow: V, F2 and h
+        # stay finite and quiet, and dV <= -||z|| still holds there
+        data = blowup_construction(3.0)
+        zs = [(1e6, 1e6), (800.0, -800.0), (-0.97, 800.0), (-0.5, -1e6)]
+        zs += [(a, b) for a in (710.0, 3e3, 1e6) for b in (-1e6, -720.0, -0.5, 0.0, 2.0, 900.0)]
+        zs += [(a, b) for a in (-0.9, 0.0, 5.0) for b in (-1e6, -711.0, 750.0, 4e5)]
+        zs = np.array(zs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, f, h, vdot = data.V(zs), data.F2(zs), data.h(zs), data.vdot_along_F(zs)
+        assert np.all((0.0 < v) & (v < 3.0)) and np.all(np.isfinite(f))
+        assert np.all(h * vdot <= -np.linalg.norm(zs, axis=1) * (1.0 - 1e-12))
 
     def test_rate_matches_central_difference_of_v(self):
         # vdot_along_F is the derivative of V along F: a central difference

@@ -88,10 +88,28 @@ class TestDisturbanceSignal:
         # mode indices and labels are not floats and pass unchecked
         assert DisturbanceSignal((0.0, 1.0), (1, "b")).values == (1, "b")
 
+    def test_rejects_non_finite_breakpoints(self):
+        # a NaN breakpoint passes every ordering check, and value_at then
+        # reads the piece that starts there
+        for bps in ((0.0, 1.0, np.nan), (0.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                DisturbanceSignal(bps, tuple(range(len(bps))))
+
     def test_json_roundtrip(self):
         d = DisturbanceSignal((0.0, 1.5), (0.25, -2.0))
         back = DisturbanceSignal.from_json(d.to_json())
         assert back == d
+
+
+class TestDisturbanceSet:
+    def test_interval_rejects_nan_or_reversed_bounds(self):
+        for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (2.0, 1.0)):
+            with pytest.raises(ValueError, match="lo <= hi"):
+                DisturbanceSet.interval(lo, hi)
+        # infinite and equal bounds stay legal
+        assert DisturbanceSet.real_line().corner_values() == [-1.0, 0.0, 1.0]
+        assert DisturbanceSet.interval(-np.inf, 0.5).corner_values(2.0) == [-2.0, 0.0, 0.5]
+        assert DisturbanceSet.interval(1.0, 1.0).corner_values() == [1.0]
 
 
 class TestFlow:
@@ -135,6 +153,16 @@ class TestFlow:
         for bad in ([np.nan], [np.inf]):
             with pytest.raises(ValueError):
                 flow(model, 1.0, bad, step=0.1)
+
+    @pytest.mark.parametrize("t, step, name", [
+        (np.nan, 1e-3, "horizon t"),
+        (np.inf, 1e-3, "horizon t"),
+        (1.0, np.nan, "step"),
+        (1.0, np.inf, "step"),
+    ])
+    def test_non_finite_horizon_or_step_raises(self, t, step, name):
+        with pytest.raises(ValueError, match=name):
+            flow(build_scalar_example("iv"), t, [1.0], step=step)
 
     def test_segment_split_at_breakpoints(self):
         model = build_scalar_example("ii")
