@@ -109,7 +109,8 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
     hint (semigroup bound plus nonlinearity Lipschitz data), the analytic
     bound M exp((M L_f(K) + lambda) tau) is computed as well and the
     larger of the two is returned.  Escape invalidates the estimate and is
-    a hard error.
+    a hard error; its witness is the escaped row's start, the signal and the
+    escape bracket.
     """
     model = _as_system(model)
     if R <= 0 or tau <= 0:
@@ -127,7 +128,7 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
             for e, tr in zip(basis, cols):
                 if tr.escaped is not None:
                     raise EscapeError(
-                        "escape during Lipschitz estimation", witness=(e, d))
+                        "escape during Lipschitz estimation", witness=(e, d, tr.escaped))
             mats = np.stack([tr.states for tr in cols], axis=-1)  # (n_times, dim, dim)
             best = max(best, float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max()))
         return best
@@ -145,10 +146,11 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
         # rows alternate x, y, so each pair's two trajectories come together
         rows = flow_batch(model, tau, [z for x, y, _ in pairs for z in (x, y)], d, step=step)
         for (x, y, gap), tx, ty in zip(pairs, rows, rows):
-            if tx.escaped is not None or ty.escaped is not None:
-                raise EscapeError(
-                    "escape during Lipschitz estimation: flow is not complete "
-                    "on the ball", witness=(x, d))
+            for z, tz in ((x, tx), (y, ty)):
+                if tz.escaped is not None:
+                    raise EscapeError(
+                        "escape during Lipschitz estimation: flow is not complete "
+                        "on the ball", witness=(z, d, tz.escaped))
             diffs = np.linalg.norm(tx.states - ty.states, axis=1)
             best = max(best, float(diffs.max()) / gap)
             peak_norm = max(peak_norm, float(tx.norms.max()))

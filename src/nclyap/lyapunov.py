@@ -206,11 +206,13 @@ def verify_decay(V, alpha, model, state_samples, disturbance_samples, tol=1e-3,
 
     ``tol`` is relative to each sample's bound (see ``decay_tolerance``).
     Escaped short flows are recorded as failing samples with witnesses
-    rather than raising.
+    rather than raising.  An empty product set is a ``ValueError``: a check
+    over no samples passes nothing.
     """
     X = [model.state(x) for x in state_samples]
-    ests = [list(_dini_batch(V, model, X, d, h_sequence, step))
-            for d in disturbance_samples] if X else []
+    if not X or not disturbance_samples:
+        raise ValueError("need at least one state and one disturbance sample")
+    ests = [list(_dini_batch(V, model, X, d, h_sequence, step)) for d in disturbance_samples]
     samples = []
     worst = -np.inf
     for i, x in enumerate(X):

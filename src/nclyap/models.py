@@ -1,15 +1,15 @@
 """Model zoo: the example systems, plus switched-linear and ODE builders.
 
 Every builder pins all free parameters so runs are reproducible from the
-JSON descriptor alone.  Linear models carry exact propagators (matrix
-exponentials via scaling-and-squaring); nonlinear models carry vector
-fields for the fixed-step integrator.
+JSON descriptor alone.  Linear models carry exact propagators, which keep
+no cache (the l2 block model's exponential comes from its closed form);
+nonlinear models carry vector fields for the fixed-step integrator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
@@ -30,19 +30,6 @@ __all__ = [
     "SwitchedLinearModel",
     "model_from_descriptor",
 ]
-
-
-# Entries an expm cache keeps before it drops its oldest: every new flow
-# horizon ends on a step size of its own, so the keys never stop coming.
-_EXPM_CACHE_SIZE = 32
-
-
-def _cached_expm(cache, key, A, dt):
-    if key not in cache:
-        if len(cache) >= _EXPM_CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[key] = expm(A * dt)
-    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +261,20 @@ def _block_matrix(i, epsilon):
     return A
 
 
+def _block_exponential(n, epsilon, t):
+    """expm(A_n t) from its closed form: upper-triangular Toeplitz with entry
+    e^{(-1 + epsilon) t} t^k / k! on the k-th superdiagonal.
+
+    Terms below the smallest normal float are set to 0: subnormal entries
+    would slow every product with the matrix.
+    """
+    c = np.cumprod([np.exp((-1.0 + epsilon) * t), *(t / np.arange(1, n))])
+    c[c < np.finfo(float).tiny] = 0.0
+    # row i of the reversed windows of [0]*(n-1) + c is c shifted right by i
+    padded = np.concatenate([np.zeros(n - 1), c])
+    return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1].copy()
+
+
 def _row(i):
     """Slice of block i + 1 (row i of the lower triangle) in the flat state."""
     return slice(i * (i + 1) // 2, (i + 1) * (i + 2) // 2)
@@ -293,8 +294,9 @@ class BlockOperatorModel:
     Block i is the leading i x i corner of ``generator`` (block n), and
     expm(A_i t) that of expm(generator t).  The state is the lower triangle
     of an n x n array in ``np.tril_indices(n)`` order (block i is row i - 1),
-    so one product with ``expm(generator dt).T`` advances every block, and in
-    V row i - 1 of one product with ``lyapunov`` (block n's P) gives x_i^T P x_i.
+    so one product with ``_block_exponential(n, epsilon, dt).T`` advances every
+    block, and in V row i - 1 of one product with ``lyapunov`` (block n's P)
+    gives x_i^T P x_i.
     """
 
     n_blocks: int
@@ -302,7 +304,6 @@ class BlockOperatorModel:
     generator: np.ndarray
     lyapunov: np.ndarray
     lyapunov_norms: np.ndarray
-    _expm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -314,7 +315,7 @@ class BlockOperatorModel:
         return np.flatnonzero(np.tri(self.n_blocks, dtype=bool))
 
     def propagator(self, _d, dt):
-        ET = _cached_expm(self._expm_cache, float(dt), self.generator, dt).T
+        ET = _block_exponential(self.n_blocks, self.epsilon, dt).T
         n, tril = self.n_blocks, self._tril
 
         def advance(X):
@@ -357,7 +358,7 @@ class BlockOperatorModel:
         This is the natural instability witness for epsilon > 0: the
         largest block's transient amplification peaks along it.
         """
-        _, _, vt = np.linalg.svd(expm(self.generator * t))
+        _, _, vt = np.linalg.svd(_block_exponential(self.n_blocks, self.epsilon, t))
         v = np.zeros(self.dim)
         v[_row(self.n_blocks - 1)] = vt[0]
         return v
@@ -426,7 +427,6 @@ class SwitchedLinearModel:
 
     modes: tuple
     dimension: int
-    _expm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def mode(self, q):
         qi = int(q)
@@ -435,8 +435,7 @@ class SwitchedLinearModel:
         return qi
 
     def mode_expm(self, q, dt):
-        q = self.mode(q)
-        return _cached_expm(self._expm_cache, (q, float(dt)), self.modes[q], dt)
+        return expm(self.modes[self.mode(q)] * dt)
 
     def propagator(self, q, dt):
         E = self.mode_expm(q, dt)
@@ -461,23 +460,29 @@ class SwitchedLinearModel:
 def build_switched_linear(modes):
     """Switched linear model; disturbance values index into the mode list."""
     mats = [np.atleast_2d(np.asarray(m, dtype=float)) for m in modes]
+    if not mats:
+        raise ValueError("need at least one mode")
     dim = mats[0].shape[0]
-    for m in mats:
+    for q, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise ValueError("all modes must be square matrices of equal dimension")
+        if not np.isfinite(m).all():
+            raise ValueError(f"mode {q} has a non-finite entry")
     return SwitchedLinearModel(tuple(mats), dim)
 
 
 def evolve(model, d, t, s=0.0):
-    """Evolution operator Phi_d(t, s) as an ordered product of exponentials."""
+    """Evolution operator Phi_d(t, s) as an ordered product of exponentials,
+    one per distinct (mode, interval length) of the partition."""
     if t < s:
         raise ValueError("need t >= s")
     Phi = np.eye(model.dimension)
     if t == s:
         return Phi
     edges = [s] + d.switch_times(s, t) + [t]
+    mode_expm = cache(model.mode_expm)
     for a, b in zip(edges, edges[1:]):
-        Phi = model.mode_expm(d.value_at(a), b - a) @ Phi
+        Phi = mode_expm(d.value_at(a), b - a) @ Phi
     return Phi
 
 

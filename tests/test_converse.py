@@ -57,6 +57,24 @@ class TestFlowLipschitz:
         with pytest.raises(EscapeError):
             estimate_flow_lipschitz(blow, R=20.0, tau=2.0, budget=4, seed=0)
 
+    def test_escape_witness_is_the_escaped_row(self):
+        # x' = 50 x^2 escapes from x > 0 alone; the first pair is (x, -x)
+        # with x < 0, so only its partner escapes
+        square = SystemModel("square", 1, DisturbanceSet.interval(0, 0),
+                             rhs=lambda x, d: 50.0 * x * x)
+        with pytest.raises(EscapeError) as err:
+            estimate_flow_lipschitz(square, R=1.0, tau=1.0, budget=2, seed=0)
+        x, d, bracket = err.value.witness
+        assert x[0] > 0.0
+        assert flow(square, 1.0, x, d).escaped == bracket
+
+    def test_basis_escape_witness_carries_its_bracket(self):
+        grow = build_linear([[40.0]])
+        with pytest.raises(EscapeError) as err:
+            estimate_flow_lipschitz(grow, R=1.0, tau=1.0, budget=2, seed=0)
+        e, d, bracket = err.value.witness
+        assert flow(grow, 1.0, e, d).escaped == bracket
+
 
 class TestVkIntegral:
     def test_golden_value_at_e(self):

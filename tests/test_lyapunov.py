@@ -92,6 +92,12 @@ class TestVerifyDecay:
         assert report.witnesses
         assert report.worst_margin > 0.5
 
+    @pytest.mark.parametrize("states,signals", [([], [None]), ([[1.0]], [])])
+    def test_empty_sample_product_raises(self, states, signals):
+        alpha = power_table(2.0, r_max=8.0, scale=2.0)
+        with pytest.raises(ValueError, match="at least one state"):
+            verify_decay(square_candidate(), alpha, decay_model(), states, signals)
+
     def test_report_serializes(self):
         alpha = power_table(2.0, r_max=8.0, scale=3.0)
         report = verify_decay(square_candidate(), alpha, decay_model(),

@@ -283,7 +283,47 @@ class TestL2BlockModel:
         assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    @pytest.mark.parametrize("t", [0.01, 0.37, 2.0, 10.0])
+    def test_block_exponential_matches_decimal_series(self, eps, t):
+        # expm(A_n t) is upper-triangular Toeplitz with e^{(-1+eps)t} t^k/k!
+        # on the k-th superdiagonal; the series runs in 50 digits
+        from decimal import Decimal, localcontext
+
+        from nclyap.models import _block_exponential
+
+        n = 40
+        E = _block_exponential(n, eps, t)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            c = [(Decimal(-1.0 + eps) * Decimal(t)).exp()]
+            for k in range(1, n):
+                c.append(c[-1] * Decimal(t) / k)
+            tol = Decimal(4e-16) * max(c)
+            assert not np.tril(E, -1).any()
+            for i, j in zip(*np.triu_indices(n)):
+                assert abs(Decimal(float(E[i, j])) - c[j - i]) <= tol
+
+
 class TestSwitchedLinear:
+    def test_rejects_empty_mode_list(self):
+        with pytest.raises(ValueError, match="at least one mode"):
+            build_switched_linear([])
+        with pytest.raises(ValueError, match="at least one mode"):
+            model_from_descriptor({"kind": "switched_linear", "modes": []})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mode(self, bad):
+        good, broken = [[-1.0, 0.0], [0.0, -1.0]], [[-1.0, bad], [0.0, -2.0]]
+        with pytest.raises(ValueError, match="mode 1 has a non-finite entry"):
+            build_switched_linear([good, broken])
+        with pytest.raises(ValueError, match="mode 1 has a non-finite entry"):
+            model_from_descriptor({"kind": "switched_linear", "modes": [good, broken]})
+        with pytest.raises(ValueError, match="mode 0 has a non-finite entry"):
+            build_linear(broken)
+        with pytest.raises(ValueError, match="mode 0 has a non-finite entry"):
+            model_from_descriptor({"kind": "linear", "a": broken})
+
     def test_single_mode_no_switch(self):
         from scipy.linalg import expm
 
@@ -336,19 +376,32 @@ class TestSwitchedLinear:
         assert traj.final_state[0] == pytest.approx(2.0 * np.exp(-0.5) * np.exp(-1.5), abs=1e-12)
 
 
-def test_expm_caches_stay_bounded():
-    from nclyap import models
+@pytest.mark.parametrize("kind", ["block", "switched"])
+def test_flow_builds_each_step_map_once(kind):
+    # models keep no cache: the flow kernel asks for one step map per
+    # distinct (d value, step) pair of its node grid, and reuses it
+    from collections import Counter
+    from dataclasses import replace
 
-    rng = np.random.default_rng(0)
-    block = build_l2_block_model(6, 0.25)
-    pair = build_switched_linear([[[-1.0, 0.0], [0.0, -2.0]], [[-1.5, 0.5], [0.0, -0.8]]])
-    for _ in range(500):
-        t = float(rng.uniform(0.05, 1.0))
-        flow(block.system, t, rng.normal(size=block.dim), step=0.1)
-        d = DisturbanceSignal((0.0, float(rng.uniform(0.0, t))), (0, 1))
-        flow(pair.system, t, rng.normal(size=2), d, step=0.1)
-        for model in (block, pair):
-            assert 0 < len(model._expm_cache) <= models._EXPM_CACHE_SIZE
+    if kind == "block":
+        system, d = build_l2_block_model(6, 0.25).system, DisturbanceSignal.constant(0.0)
+    else:
+        system = build_switched_linear([[[-1.0, 0.0], [0.0, -2.0]],
+                                        [[-1.5, 0.5], [0.0, -0.8]]]).system
+        d = DisturbanceSignal((0.0, 0.37, 1.1), (0, 1, 0))
+    calls = Counter()
+
+    def counting(dval, dt):
+        calls[dval, dt] += 1
+        return system.propagator(dval, dt)
+
+    x = np.random.default_rng(0).normal(size=system.dim)
+    traj = flow(replace(system, propagator=counting), 2.3, x, d, step=0.01)
+    grid = {(d.value_at(t), h) for t, h in zip(traj.times, np.diff(traj.times).tolist())}
+    assert calls.keys() == grid
+    assert set(calls.values()) == {1}
+    assert len(calls) < len(traj.times) - 1
+    np.testing.assert_array_equal(traj.states, flow(system, 2.3, x, d, step=0.01).states)
 
 
 class TestDescriptors:

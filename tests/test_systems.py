@@ -268,6 +268,13 @@ class TestAxioms:
         report = check_axioms(model, sample_budget=5, seed=4, radius=5.0, t_max=0.5)
         assert report.escaped_excluded > 0
 
+    def test_report_without_samples_does_not_pass(self):
+        model = SystemModel("blow", 1, DisturbanceSet.interval(0, 0),
+                            rhs=lambda x, d: 1e6 * x**3)
+        report = check_axioms(model, sample_budget=4, seed=0)
+        assert (report.samples, report.escaped_excluded) == (0, 4)
+        assert not report.passed(1.0)
+
 
 class TestHomogeneity:
     def test_linear_models_are_homogeneous(self):
