@@ -185,7 +185,10 @@ def _task_verify(config, outdir, lines):
     alpha = power_table(p.get("alpha_power", 1.0), r_max=64.0,
                         scale=p.get("alpha_scale", 1.0))
     r_lo, r_hi = p.get("radius_range", [1.0, 2.0])
-    xs = _shell_states(config.seed, model.dim, int(p.get("samples", 20)), r_lo, r_hi)
+    samples = int(p.get("samples", 20))
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+    xs = _shell_states(config.seed, model.dim, samples, r_lo, r_hi)
     report = verify_decay(cand, alpha, model, xs, [model.default_signal()],
                           **_given(p, "tol", "step"))
     _write(outdir, "decay_report.json", report.to_json())
@@ -458,10 +461,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
+        return run(_config_from_args(args))
     except (ConfigError, json.JSONDecodeError) as err:
         parser.error(str(err))  # exits with status 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .comparison import (TabulatedMonotone, gk_threshold, invert_table, lipschitz_minorant,
                          sontag_factorize)
-from .systems import EscapeError, _as_system, _csv, _unit_direction, flow, flow_batch, sub_rng
+from .systems import EscapeError, _csv, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
     "ConverseConfig",
@@ -93,7 +93,6 @@ class ConverseConfig:
         return float(np.log1p(k * float(self.alpha1(R))))
 
     def signals(self, model, horizon):
-        model = _as_system(model)
         rng = sub_rng(self.seed, 59)
         return model.disturbance_set.probe_signals(
             rng, max(horizon, 1e-6), self.disturbance_budget, magnitude=self.magnitude,
@@ -112,7 +111,6 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
     a hard error; its witness is the escaped row's start, the signal and the
     escape bracket.
     """
-    model = _as_system(model)
     if R <= 0 or tau <= 0:
         raise ValueError("R and tau must be positive")
     rng = sub_rng(seed, 61)
@@ -193,7 +191,7 @@ class VkEvaluator:
         return T
 
     def __call__(self, x, step=None):
-        model = _as_system(self.model)
+        model = self.model
         x = model.state(x)
         R = model.norm(x)
         if R == 0.0:
@@ -271,7 +269,7 @@ class ConstructedLyapunov:
 
     def export_csv(self, state_grid):
         """Sampled W over a user-supplied state grid."""
-        dim = _as_system(self.evaluators[0].model).dim
+        dim = self.evaluators[0].model.dim
         xs = (np.atleast_1d(np.asarray(x, dtype=float)) for x in state_grid)
         return _csv([*(f"x_{i+1}" for i in range(dim)), "W"], ((*x, self(x)) for x in xs))
 
@@ -324,5 +322,5 @@ def assemble_w(model, config, kind="integral", lipschitz_budget=8):
         weights[k - 1] = 2.0 ** (-k) / (1.0 + lipschitz[(round(float(k), 12), k)])
     return ConstructedLyapunov(
         tuple(evaluators), weights, cfg, horizons, lipschitz,
-        metadata={"kind": kind, "model": _as_system(model).name},
+        metadata={"kind": kind, "model": model.name},
     )

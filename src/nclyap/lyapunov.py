@@ -286,7 +286,7 @@ class CoercivityProfile:
 
 
 def coercivity_profile(V, model, radii, direction_budget=64, *, seed=0,
-                       witness_directions=None):
+                       witness_directions=()):
     """Estimate inf/sup of V on spheres of the given radii.
 
     Directions are sampled uniformly; any supplied witness directions (for
@@ -299,8 +299,6 @@ def coercivity_profile(V, model, radii, direction_budget=64, *, seed=0,
     if np.any(radii <= 0):
         raise ValueError("radii must be positive")
     dirs = []
-    if witness_directions is None:
-        witness_directions = getattr(model, "witness_directions", lambda: [])()
     for w in witness_directions:
         w = np.asarray(w, dtype=float)
         dirs.append(w / np.linalg.norm(w))

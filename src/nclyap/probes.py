@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from .comparison import KLSurface, TabulatedMonotone
-from .systems import DisturbanceSignal, _as_system, _unit_direction, flow, flow_batch, sub_rng
+from .systems import DisturbanceSignal, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
     "ProbeReport",
@@ -34,7 +34,6 @@ __all__ = [
 NOTIONS = (
     "US",
     "UGAS",
-    "UAS",
     "weak_attractive",
     "uniform_weak_attractive",
     "UGATT",
@@ -171,7 +170,6 @@ def _mu_scan(model, C_grid, tau_grid, budget, *, seed, magnitude, pieces, step):
     trajectories mark their cells +inf.  Returns (cells, witnesses) where witnesses[i][j] is the
     achieving ``Witness`` for cell (i, j).
     """
-    model = _as_system(model)
     C_grid = np.asarray(C_grid, dtype=float)
     tau_grid = np.asarray(tau_grid, dtype=float)
     tau_max = float(tau_grid[-1])
@@ -229,7 +227,6 @@ def classify_rfc(model, C_grid=(0.25, 0.5, 1.0, 2.0), tau_grid=(0.0, 0.5, 1.0, 2
     (to at least ten times the largest C); consistent when all cells
     stabilize below 1e6.
     """
-    model = _as_system(model)
     if model.disturbance_set.bounded:
         magnitudes = (1.0,)
     prev = None
@@ -276,7 +273,6 @@ def classify_rfc(model, C_grid=(0.25, 0.5, 1.0, 2.0), tau_grid=(0.0, 0.5, 1.0, 2
 # ---------------------------------------------------------------------------
 
 def _check_equilibrium(model):
-    model = _as_system(model)
     zero = np.zeros(model.dim)
     for v in model.disturbance_set.corner_values(1.0):
         if model.rhs is not None:
@@ -300,7 +296,6 @@ def classify_rep(model, h_grid=(0.5,), eps_grid=(0.5,), budget=4, *,
     and at most a quarter of the first) instead of stabilizing; each
     refutation carries an exceedance witness.
     """
-    model = _as_system(model)
     _check_equilibrium(model)
     if model.disturbance_set.bounded:
         magnitudes = (1.0,)
@@ -375,16 +370,21 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
                        extra_directions=(), psi2=None, alpha=None, stability_rel=0.05):
     """Probe an attractivity-type notion by trajectory sampling.
 
-    The signals have 8 pieces.  UGATT estimates tau(r, eps) as the worst
-    last-exceedance time and requires stability of the estimate under
-    budget doubling; uniform weak attractivity uses first-hitting times
-    and, when (psi2, alpha) are supplied, checks the analytic reach-time
-    bound (psi2(r)+1)/alpha(eps); US searches an eps -> delta map; UGAS
-    fits a dominating decay surface, refuted by a trajectory that peaks at
-    5 r or more and ends above r, and inconclusive while one ends above
-    r / 10.  Escapes refute UGAS/UGATT immediately with a witness.
+    The signals have 8 pieces.  US searches an eps -> delta map.  UGAS fits
+    a dominating decay surface, refuted by a trajectory that peaks at 5 r
+    or more and ends above r, and inconclusive while one ends above r / 10.
+    UGATT and the weak notions estimate a reach time tau(r, eps) per grid
+    cell: UGATT the worst last time a trajectory is above eps, stable under
+    budget doubling; the weak notions the worst first time one is within
+    eps, checked against the analytic bound (psi2(r)+1)/alpha(eps) for the
+    uniform notion when (psi2, alpha) are supplied.
+
+    Two rules hold for every notion but US.  A confirmed finite escape in
+    any draw refutes, with the escaped start state, signal and escape time
+    as witness.  A trajectory still above eps at the horizon (UGATT) or
+    never within eps (weak notions) refutes nothing: the report is
+    inconclusive, as UGAS is for its tail.
     """
-    model = _as_system(model)
     if notion not in ("weak_attractive", "uniform_weak_attractive", "UGATT", "US", "UGAS"):
         raise ValueError(f"notion {notion!r} not probeable here")
 
@@ -417,19 +417,26 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
         return ProbeReport("US", "consistent", tables={"eps_delta": eps_delta},
                            notes="no refutation at this budget")
 
-    # trajectory-driven notions
-    taus = {}
+    @cache
+    def draw(r, doubling=0):
+        """The trajectories of one draw at radius r, up to its first escape."""
+        trajs = []
+        for tr in collect(r, seed_salt=doubling):
+            trajs.append(tr)
+            if tr.escaped is not None:
+                break
+        return trajs
+
+    def escape(trajs):
+        """The refutation by a draw's escaped trajectory (its last), or None."""
+        tr = trajs[-1]
+        return tr.escaped and ProbeReport(
+            notion, "refuted", notes="escaped trajectory",
+            witnesses=(Witness(tr.x0, tr.signal, tr.escaped[1], np.inf, note="finite escape"),))
+
     for r in r_grid:
-        taus[r] = []
-        for tr in collect(r):
-            if tr.escaped is not None and notion in ("UGAS", "UGATT"):
-                return ProbeReport(
-                    notion, "refuted",
-                    witnesses=(Witness(tr.x0, tr.signal, tr.escaped[1], np.inf,
-                                       note="finite escape"),),
-                    notes="escaped trajectory",
-                )
-            taus[r].append(tr)
+        if refuted := escape(draw(r)):
+            return refuted
 
     if notion == "UGAS":
         witnesses = []
@@ -437,7 +444,7 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
         beta_vals = np.zeros((len(r_grid), t_grid.size))
         ok_tail = True
         for i, r in enumerate(r_grid):
-            for tr in taus[r]:
+            for tr in draw(r):
                 norms = tr.norms
                 peak = float(norms.max())
                 final = float(norms[-1])
@@ -462,88 +469,51 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
         return ProbeReport("UGAS", "consistent", tables={"beta": beta},
                            notes="fitted dominating decay surface; no refutation at this budget")
 
-    if notion == "UGATT":
-        def last_exceed(trajs, eps):
-            """The latest time any trajectory is above eps; inf when one
-            escapes or ends above it."""
-            worst = 0.0
-            for tr in trajs:
-                above = tr.norms > eps
-                if tr.escaped is not None or above[-1]:
-                    return np.inf
-                if np.any(above):
-                    worst = max(worst, float(tr.times[int(np.nonzero(above)[0][-1])]))
-            return worst
+    def reach(trajs, eps):
+        """UGATT: the worst last time a trajectory is above eps; weak notions:
+        the worst first time one is within eps.  None when one has not
+        settled by the horizon."""
+        worst = 0.0
+        for tr in trajs:
+            inside = tr.norms <= eps
+            if not (inside[-1] if notion == "UGATT" else inside.any()):
+                return None
+            if notion != "UGATT":
+                worst = max(worst, float(tr.times[int(np.argmax(inside))]))
+            elif not inside.all():
+                worst = max(worst, float(tr.times[np.flatnonzero(~inside)[-1]]))
+        return worst
 
-        # the draws of each budget doubling, shared by every eps at a radius
-        doubled = cache(lambda r, doubling: list(collect(r, seed_salt=doubling)))
-        table = {}
-        for r in r_grid:
-            for eps in eps_grid:
-                # convergence in budget: keep doubling the sample count
-                # (appending fresh same-size draws) until the estimate moves
-                # by less than the stability tolerance
-                trajs = taus[r]
-                tau_prev = last_exceed(trajs, eps)
-                tau_cur = tau_prev
-                stable = False
-                for doubling in range(1, 4):
-                    if not np.isfinite(tau_prev):
-                        break
-                    trajs = trajs + doubled(r, doubling)
-                    tau_cur = last_exceed(trajs, eps)
-                    if not np.isfinite(tau_cur):
-                        break
-                    if abs(tau_cur - tau_prev) <= stability_rel * max(tau_prev, 1e-9) + 1e-9:
-                        stable = True
-                        break
-                    tau_prev = tau_cur
-                if not np.isfinite(tau_cur) or not np.isfinite(tau_prev):
-                    wit = next(tr for tr in trajs
-                               if tr.escaped is not None or tr.norms[-1] > eps)
-                    return ProbeReport(
-                        "UGATT", "refuted",
-                        witnesses=(Witness(wit.x0, wit.signal, horizon,
-                                           float(wit.norms[-1]),
-                                           note=f"still above eps={eps} at the horizon"),),
-                        notes="no uniform reach-and-stay time within the horizon",
-                    )
-                if not stable:
-                    return ProbeReport(
-                        "UGATT", "inconclusive", tables={"tau": table},
-                        notes=(f"tau estimate not converged under budget "
-                               f"doubling at r={r}, eps={eps}"))
-                table[f"r={r},eps={eps}"] = tau_cur
-        return ProbeReport("UGATT", "consistent", tables={"tau": table},
-                           notes="no refutation at this budget")
-
-    # weak attractivity flavors: inf_t ||phi|| <= eps
     table = {}
     bound_checks = {}
     for r in r_grid:
         for eps in eps_grid:
-            hits = []
-            for tr in taus[r]:
-                norms = tr.norms
-                below = np.nonzero(norms <= eps)[0]
-                if below.size == 0:
-                    if tr.escaped is None:
-                        return ProbeReport(
-                            notion, "refuted",
-                            witnesses=(Witness(tr.x0, tr.signal, horizon,
-                                               float(norms.min()),
-                                               note=f"never visits eps={eps} ball within horizon"),),
-                            notes="trajectory misses the target ball",
-                        )
-                    hits.append(np.inf)
-                else:
-                    hits.append(float(tr.times[below[0]]))
-            tau_hat = max(hits)
-            table[f"r={r},eps={eps}"] = tau_hat
+            trajs = draw(r)
+            tau = reach(trajs, eps)
+            # UGATT's convergence in budget: append fresh same-size draws
+            # until the estimate moves by less than the stability tolerance
+            stable = notion != "UGATT"
+            for doubling in range(1, 4):
+                if stable or tau is None:
+                    break
+                more = draw(r, doubling)
+                if refuted := escape(more):
+                    return refuted
+                trajs = trajs + more
+                tau_prev, tau = tau, reach(trajs, eps)
+                stable = (tau is not None and abs(tau - tau_prev)
+                          <= stability_rel * max(tau_prev, 1e-9) + 1e-9)
+            if tau is None or not stable:
+                why = ("tau estimate not converged under budget doubling" if tau is not None
+                       else "not settled by the horizon: a trajectory "
+                       + ("ends above eps" if notion == "UGATT" else "never comes within eps"))
+                return ProbeReport(notion, "inconclusive", tables={"tau": table},
+                                   notes=f"{why} at r={r}, eps={eps}")
+            table[f"r={r},eps={eps}"] = tau
             if notion == "uniform_weak_attractive" and psi2 is not None and alpha is not None:
                 bound = (float(psi2(r)) + 1.0) / float(alpha(eps))
                 bound_checks[f"r={r},eps={eps}"] = {
-                    "tau_hat": tau_hat, "bound": bound, "ok": bool(tau_hat <= bound)
+                    "tau_hat": tau, "bound": bound, "ok": bool(tau <= bound)
                 }
     tables = {"tau": table}
     if bound_checks:

@@ -357,11 +357,6 @@ class Trajectory:
                            for t, s in zip(self.times, self.states)))
 
 
-def _as_system(model):
-    """The ``SystemModel`` behind a model wrapper that exposes ``.system``."""
-    return getattr(model, "system", model)
-
-
 def _states(model, X):
     """X as a float array of one state per row, checked finite."""
     X = np.asarray(X, dtype=float)

@@ -149,6 +149,17 @@ class TestMainEntry:
             main([])
         assert exc.value.code == 2
 
+    def test_verify_without_samples_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "verify", "--model", '{"kind": "l2_block", "n": 3}',
+                  "--samples", "0"])
+        assert exc.value.code == 2
+
+    def test_verify_without_candidate_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "verify", "--model", '{"kind": "linear", "a": [[-1.0]]}'])
+        assert exc.value.code == 2
+
     def test_simulate_subcommand(self, tmp_path):
         status = main([
             "--out", str(tmp_path), "simulate",

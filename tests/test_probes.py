@@ -21,7 +21,7 @@ from nclyap.probes import (
     estimate_switched_bound,
     probe_attractivity,
 )
-from nclyap.systems import DisturbanceSignal
+from nclyap.systems import DisturbanceSet, DisturbanceSignal, SystemModel, flow
 
 
 class TestEstimateMu:
@@ -78,8 +78,6 @@ class TestFourWayClassification:
         assert classify_rep(lin, budget=4, seed=0).verdict == "consistent"
 
     def test_rep_requires_equilibrium(self):
-        from nclyap.systems import DisturbanceSet, SystemModel
-
         shifted = SystemModel("affine", 1, DisturbanceSet.interval(-1, 1),
                               rhs=lambda x, d: -x + 1.0)
         with pytest.raises(ValueError):
@@ -106,8 +104,6 @@ class TestAttractivity:
                 assert beta(r, t) >= r * np.exp(-t) * 0.98 - 1e-9
 
     def test_ugatt_example_consistent_with_tau_bound(self):
-        from nclyap.systems import flow
-
         model = build_ugatt_example()
         report = probe_attractivity(model, "UGATT", r_grid=(0.5, 1.0),
                                     eps_grid=(0.01,), budget=8, horizon=8.0,
@@ -151,6 +147,20 @@ class TestAttractivity:
                                     extra_directions=(wit,))
         assert report.verdict == "refuted"
         assert report.witnesses
+
+    @pytest.mark.parametrize("notion", ["weak_attractive", "uniform_weak_attractive"])
+    def test_weak_notions_refuted_by_finite_escape(self, notion):
+        # x' = x^2 escapes from x0 > 0 at t = 1/x0: a solution that does not
+        # exist for all time refutes attractivity, weak or not
+        square = SystemModel("square", 1, DisturbanceSet.finite([0.0]), rhs=lambda x, d: x ** 2)
+        step = 1e-2
+        report = probe_attractivity(square, notion, r_grid=(0.5, 1.0), eps_grid=(0.1,),
+                                    budget=2, horizon=40.0, step=step)
+        assert report.verdict == "refuted"
+        (wit,) = report.witnesses
+        assert wit.note == "finite escape"
+        replay = flow(square, wit.t, wit.x, wit.signal, step=step / 64)
+        assert replay.escaped is not None and replay.escaped[1] <= wit.t
 
     def test_uniform_weak_attractivity_bound(self):
         lin = build_linear([[-1.0]])
@@ -260,16 +270,22 @@ class TestProbeReport:
 # Verdicts (UGAS, UGATT, weak_attractive, RFC, REP) at magnitude 1, seed 0,
 # horizon 2, budget 3 and step 2e-2, recorded before the probes shared one
 # sampling path.  The blow-up model is pinned on RFC (its escape witness)
-# and REP only, because its attractivity probes are slow.
+# and REP only, because its attractivity probes are slow.  "refuted" needs
+# a confirmed finite escape or a stated evidence rule; a trajectory still
+# above eps at the horizon (UGATT) or never within it (weak_attractive)
+# makes the report "inconclusive".  By that rule UGATT and weak_attractive
+# moved from "refuted" to "inconclusive" on scalar (i)-(iv), the l2 block
+# model, x' = -x and the stable switched pair: at horizon 2 a trajectory
+# from r = 0.5 is still above eps = 0.05.
 GOLDEN_VERDICTS = {
-    "scalar-i": ("inconclusive", "refuted", "refuted", "consistent", "consistent"),
-    "scalar-ii": ("refuted", "refuted", "refuted", "consistent", "consistent"),
-    "scalar-iii": ("refuted", "refuted", "refuted", "consistent", "consistent"),
-    "scalar-iv": ("refuted", "refuted", "refuted", "consistent", "consistent"),
+    "scalar-i": ("inconclusive", "inconclusive", "inconclusive", "consistent", "consistent"),
+    "scalar-ii": ("refuted", "inconclusive", "inconclusive", "consistent", "consistent"),
+    "scalar-iii": ("refuted", "inconclusive", "inconclusive", "consistent", "consistent"),
+    "scalar-iv": ("refuted", "inconclusive", "inconclusive", "consistent", "consistent"),
     "ugatt": ("consistent", "consistent", "consistent", "consistent", "consistent"),
-    "l2-block": ("inconclusive", "refuted", "refuted", "consistent", "consistent"),
-    "linear": ("inconclusive", "refuted", "refuted", "consistent", "consistent"),
-    "switched": ("inconclusive", "refuted", "refuted", "consistent", "consistent"),
+    "l2-block": ("inconclusive", "inconclusive", "inconclusive", "consistent", "consistent"),
+    "linear": ("inconclusive", "inconclusive", "inconclusive", "consistent", "consistent"),
+    "switched": ("inconclusive", "inconclusive", "inconclusive", "consistent", "consistent"),
     "blowup": (None, None, None, "refuted", "consistent"),
 }
 
@@ -301,7 +317,22 @@ def test_golden_verdicts():
         "REP": lambda m: classify_rep(m, budget=3, seed=0, step=2e-2, magnitudes=(1.0,)),
     }
     got = {}
+    replays = []
     for name, expected in GOLDEN_VERDICTS.items():
-        got[name] = tuple(None if want is None else probe(models[name]).verdict
-                          for want, probe in zip(expected, probes.values()))
+        reports = [None if want is None else probe(models[name])
+                   for want, probe in zip(expected, probes.values())]
+        got[name] = tuple(None if rep is None else rep.verdict for rep in reports)
+        replays += [(models[name], w) for rep in reports if rep and rep.verdict == "refuted"
+                    for w in rep.witnesses]
     assert got == GOLDEN_VERDICTS
+    # every refutation replays: an escape by its time at the finest step the
+    # probes confirm escapes with, any other witness to its value at the
+    # probes' step
+    for model, w in replays:
+        if np.isinf(w.value):
+            replay = flow(model, w.t, w.x, w.signal, step=2e-2 / 64)
+            assert replay.escaped is not None and replay.escaped[1] <= w.t, w
+        else:
+            replay = flow(model, w.t, w.x, w.signal, step=2e-2)
+            assert replay.escaped is None and replay.times[-1] == w.t, w
+            assert replay.norms[-1] == pytest.approx(w.value, rel=1e-12), w
