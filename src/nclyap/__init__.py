@@ -25,7 +25,6 @@ from .systems import (
     DisturbanceSignal,
     EscapeError,
     HomogeneityReport,
-    LipschitzHint,
     SystemModel,
     Trajectory,
     check_axioms,

@@ -68,6 +68,8 @@ class ExperimentConfig:
                     f"reproduce target must be one of {REPRODUCE_TARGETS}, got {target!r}")
         elif not self.model:
             raise ConfigError(f"task {self.task!r} requires a model descriptor")
+        if not isinstance(self.model, dict):
+            raise ConfigError(f"model descriptor must be a JSON object, got {self.model!r}")
         if int(self.seed) != self.seed:
             raise ConfigError("seed must be an integer")
 
@@ -112,14 +114,25 @@ def _manifest(config, outdir):
     }, indent=2, sort_keys=True))
 
 
+def _model(desc):
+    """The model a descriptor names; a descriptor naming none is a config error."""
+    try:
+        return model_from_descriptor(desc)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad model descriptor {json.dumps(desc)}: {err!r}") from None
+
+
 def _parse_signal(spec):
     if spec is None:
         return None
-    if isinstance(spec, (int, float)):
-        return DisturbanceSignal.constant(float(spec))
-    if isinstance(spec, str):
-        return DisturbanceSignal.from_json(spec)
-    return DisturbanceSignal(tuple(p[0] for p in spec), tuple(p[1] for p in spec))
+    try:
+        if isinstance(spec, (int, float)):
+            return DisturbanceSignal.constant(float(spec))
+        if isinstance(spec, str):
+            return DisturbanceSignal.from_json(spec)
+        return DisturbanceSignal(tuple(p[0] for p in spec), tuple(p[1] for p in spec))
+    except (IndexError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad disturbance signal {spec!r}: {err}") from None
 
 
 def _given(params, *keys):
@@ -141,8 +154,10 @@ def _shell_states(seed, dim, count, r_lo, r_hi):
 
 def _task_simulate(config, outdir, lines):
     p = config.params
-    model = model_from_descriptor(config.model)
+    model = _model(config.model)
     x = np.asarray(p.get("x", [1.0] * model.dim), dtype=float)
+    if x.shape != (model.dim,) or not np.isfinite(x).all():
+        raise ConfigError(f"x must be a finite state of dimension {model.dim}, got {p['x']!r}")
     traj = flow(model, float(p.get("t", 1.0)), x, _parse_signal(p.get("d")),
                 **_given(p, "step"))
     _write(outdir, "trajectory.csv", traj.to_csv())
@@ -158,7 +173,7 @@ def _task_simulate(config, outdir, lines):
 
 def _task_probe(config, outdir, lines):
     p = config.params
-    model = model_from_descriptor(config.model)
+    model = _model(config.model)
     notion = p.get("notion", "RFC")
     if notion in ("RFC", "REP"):
         classify = classify_rfc if notion == "RFC" else classify_rep
@@ -199,7 +214,7 @@ def _task_verify(config, outdir, lines):
 
 def _task_construct(config, outdir, lines):
     p = config.params
-    model = model_from_descriptor(config.model)
+    model = _model(config.model)
     probe = probe_attractivity(
         model, "UGAS", seed=config.seed,
         **_given(p, "r_grid", "budget", "horizon", "magnitude", "step"))

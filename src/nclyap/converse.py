@@ -104,12 +104,10 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
 
     Maximizes the endpoint-pair stretching ratio over sampled state pairs
     (random, antipodal and nearby pairs), sampled 8-piece disturbances and all
-    trajectory sample times.  When the model carries a Gronwall-style
-    hint (semigroup bound plus nonlinearity Lipschitz data), the analytic
-    bound M exp((M L_f(K) + lambda) tau) is computed as well and the
-    larger of the two is returned.  Escape invalidates the estimate and is
-    a hard error; its witness is the escaped row's start, the signal and the
-    escape bracket.
+    trajectory sample times; a propagator model of dimension at most 8
+    instead takes exact operator norms of its flowed basis.  Escape
+    invalidates the estimate and is a hard error; its witness is the
+    escaped row's start, the signal and the escape bracket.
     """
     if R <= 0 or tau <= 0:
         raise ValueError("R and tau must be positive")
@@ -139,7 +137,6 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
     gaps = [float(np.linalg.norm(x - y)) for x, y in pairs]
     pairs = [(x, y, gap) for (x, y), gap in zip(pairs, gaps) if gap != 0.0]
     best = 0.0
-    peak_norm = R
     for d in signals:
         # rows alternate x, y, so each pair's two trajectories come together
         rows = flow_batch(model, tau, [z for x, y, _ in pairs for z in (x, y)], d, step=step)
@@ -151,12 +148,6 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
                         "on the ball", witness=(z, d, tz.escaped))
             diffs = np.linalg.norm(tx.states - ty.states, axis=1)
             best = max(best, float(diffs.max()) / gap)
-            peak_norm = max(peak_norm, float(tx.norms.max()))
-    hint = model.lipschitz_hint
-    if hint is not None:
-        M, lam, lf = hint
-        analytic = float(M * np.exp((M * lf(peak_norm) + lam) * tau))
-        best = max(best, analytic)
     return best
 
 

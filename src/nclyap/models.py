@@ -9,13 +9,13 @@ nonlinear models carry vector fields for the fixed-step integrator.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm, solve_continuous_lyapunov
 
 from .lyapunov import LyapunovCandidate
-from .systems import DisturbanceSet, SystemModel
+from .systems import DisturbanceSet, EscapeError, SystemModel, flow_batch
 
 __all__ = [
     "build_scalar_example",
@@ -421,8 +421,9 @@ def build_l2_block_model(n, epsilon=0.0):
 class SwitchedLinearModel:
     """Finitely many generator matrices selected by a switching signal.
 
-    The evolution operator over an interval is the ordered product of the
-    per-mode matrix exponentials along the signal's partition.
+    The mode q propagator over a step dt is expm(A_q dt); ``evolve`` gives
+    the evolution operator over an interval as the flow of the canonical
+    basis, one exponential per piece of the signal's partition.
     """
 
     modes: tuple
@@ -434,15 +435,12 @@ class SwitchedLinearModel:
             raise ValueError(f"mode index {q!r} out of range")
         return qi
 
-    def mode_expm(self, q, dt):
-        return expm(self.modes[self.mode(q)] * dt)
-
     def propagator(self, q, dt):
-        E = self.mode_expm(q, dt)
+        E = expm(self.modes[self.mode(q)] * dt)
         # E @ x on every row; X @ E.T would round differently
         return lambda X: np.matmul(E, X[..., None])[..., 0]
 
-    @property
+    @cached_property
     def system(self):
         return SystemModel(
             name=f"switched-{len(self.modes)}modes-dim{self.dimension}",
@@ -472,18 +470,23 @@ def build_switched_linear(modes):
 
 
 def evolve(model, d, t, s=0.0):
-    """Evolution operator Phi_d(t, s) as an ordered product of exponentials,
-    one per distinct (mode, interval length) of the partition."""
+    """Evolution operator Phi_d(t, s), whose columns are the flows of the
+    canonical basis under ``d.shift(s)`` over t - s: one ``flow_batch`` step,
+    so one exponential, per piece of the signal.  A column whose norm passes
+    the flow's escape threshold raises ``EscapeError``; its witness is the
+    basis vector, the shifted signal and the escape bracket, which ``flow``
+    replays."""
     if t < s:
         raise ValueError("need t >= s")
-    Phi = np.eye(model.dimension)
+    basis = np.eye(model.dimension)
     if t == s:
-        return Phi
-    edges = [s] + d.switch_times(s, t) + [t]
-    mode_expm = cache(model.mode_expm)
-    for a, b in zip(edges, edges[1:]):
-        Phi = mode_expm(d.value_at(a), b - a) @ Phi
-    return Phi
+        return basis
+    ds = d.shift(s)
+    cols = list(flow_batch(model.system, t - s, basis, ds, step=t - s))
+    for e, tr in zip(basis, cols):
+        if tr.escaped is not None:
+            raise EscapeError("evolution operator escaped", witness=(e, ds, tr.escaped))
+    return np.stack([tr.final_state for tr in cols], axis=1)
 
 
 def build_linear(a):

@@ -28,7 +28,6 @@ __all__ = [
     "SystemModel",
     "Trajectory",
     "EscapeError",
-    "LipschitzHint",
     "flow",
     "flow_batch",
     "check_axioms",
@@ -85,20 +84,6 @@ def _unit_direction(rng, dim):
     v = rng.normal(size=dim)
     n = np.linalg.norm(v)
     return v / n if n > 0 else np.zeros(dim)
-
-
-class LipschitzHint(tuple):
-    """Known analytic Lipschitz data ``(M, lambda, L_f)``.
-
-    ``M`` and ``lambda`` bound the linear part's semigroup by
-    ``M e^{lambda t}``; ``L_f`` maps a ball radius to a Lipschitz constant
-    of the nonlinearity on that ball.  Feeds the Gronwall-style flow bound
-    ``M exp((M L_f(K) + lambda) tau)``.
-    """
-
-    def __new__(cls, semigroup_m, semigroup_lambda, nonlinearity_lipschitz):
-        return super().__new__(cls, (float(semigroup_m), float(semigroup_lambda),
-                                     nonlinearity_lipschitz))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +275,8 @@ class SystemModel:
     ``propagator`` (``(d_value, dt) -> (X -> X)``, exact linear evolution)
     must be supplied.  Both act on states as rows, as ``flow_batch`` calls
     them: ``X`` has shape ``(B, dim)``, and row b of the result depends on
-    row b of ``X`` alone.  A propagator builds its map on every call and
+    row b of ``X`` alone.  A propagator's map is linear, so 0 is an
+    equilibrium of every propagator model; it is built on every call and
     keeps no cache.  ``norm`` and ``Trajectory.norms`` are Euclidean.
     """
 
@@ -300,7 +286,6 @@ class SystemModel:
     rhs: object = None
     propagator: object = None
     homogeneous: bool | None = None
-    lipschitz_hint: object = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -160,6 +160,17 @@ class TestMainEntry:
             main(["--out", str(tmp_path), "verify", "--model", '{"kind": "linear", "a": [[-1.0]]}'])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--model", '{"kind": "nope"}'],
+        ["--model", '{"kind": "scalar_example"}'],
+        ["--model", '{"kind": "linear", "a": [[-1.0]]}', "--x", "1,2"],
+        ["--model", '{"kind": "linear", "a": [[-1.0]]}', "--d", "[[0.5, 1]]"],
+    ], ids=["unknown-kind", "missing-key", "x-shape", "d-start"])
+    def test_bad_simulate_input_is_usage_error(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "simulate", *flags])
+        assert exc.value.code == 2
+
     def test_simulate_subcommand(self, tmp_path):
         status = main([
             "--out", str(tmp_path), "simulate",

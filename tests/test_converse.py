@@ -40,17 +40,6 @@ class TestFlowLipschitz:
         L = estimate_flow_lipschitz(frozen, R=1.0, tau=2.0, budget=4, seed=0)
         assert L == 1.0
 
-    def test_gronwall_hint_dominates(self):
-        from nclyap.systems import LipschitzHint
-
-        model = SystemModel(
-            "hinted", 1, DisturbanceSet.interval(0, 0),
-            rhs=lambda x, d: -x,
-            lipschitz_hint=LipschitzHint(1.0, 0.5, lambda C: 0.25),
-        )
-        L = estimate_flow_lipschitz(model, R=1.0, tau=1.0, budget=4, seed=0)
-        assert L == pytest.approx(np.exp(0.75), rel=1e-9)
-
     def test_escape_is_hard_error(self):
         blow = SystemModel("blow", 1, DisturbanceSet.interval(0, 0),
                            rhs=lambda x, d: x**5)

@@ -14,7 +14,7 @@ from nclyap.models import (
     evolve,
     model_from_descriptor,
 )
-from nclyap.systems import DisturbanceSignal, flow
+from nclyap.systems import DisturbanceSignal, EscapeError, flow
 
 from _oracles import exact_lambda_min_normalized, integer_lyapunov_block
 
@@ -342,6 +342,50 @@ class TestSwitchedLinear:
         got = evolve(sw, d, 1.0)
         want = expm(A1 * 0.4) @ expm(A0 * 0.6)
         np.testing.assert_allclose(got, want, atol=1e-12)
+        # random partitions, s = 0 and s > 0, against the ordered product
+        rng = np.random.default_rng(11)
+        for i in range(40):
+            dim, n_modes, pieces = (int(v) for v in rng.integers(1, [5, 4, 6]))
+            modes = [rng.normal(size=(dim, dim)) * 0.7 for _ in range(n_modes)]
+            bps = (0.0, *np.sort(rng.uniform(0.05, 3.0, pieces - 1)).tolist())
+            d = DisturbanceSignal(bps, tuple(rng.integers(n_modes, size=pieces).tolist()))
+            t = float(rng.uniform(0.5, 3.5))
+            s = 0.0 if i % 2 == 0 else float(rng.uniform(0.0, t))
+            edges = [s, *d.switch_times(s, t), t]
+            want = np.eye(dim)
+            for a, b in zip(edges, edges[1:]):
+                want = expm(modes[d.value_at(a)] * (b - a)) @ want
+            got = evolve(build_switched_linear(modes), d, t, s)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_evolve_escape_raises(self):
+        sw = build_switched_linear([[[30.0]]])
+        d = DisturbanceSignal.constant(0)
+        with pytest.raises(EscapeError) as err:
+            evolve(sw, d, 1.0)
+        e, signal, bracket = err.value.witness
+        np.testing.assert_array_equal(e, [1.0])
+        assert flow(sw.system, 1.0, e, signal, step=1.0).escaped == bracket
+
+    def test_evolve_builds_one_exponential_per_mode_and_length(self, monkeypatch):
+        import nclyap.models
+
+        calls = []
+        real = nclyap.models.expm
+
+        def counting(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(nclyap.models, "expm", counting)
+        sw = build_switched_linear([[[-1.0, 0.0], [0.0, -2.0]], [[-1.5, 0.5], [0.0, -0.8]]])
+        # eight quarter pieces alternating the modes, then a tenth on mode 0
+        d = DisturbanceSignal(tuple(0.25 * k for k in range(9)), (0, 1) * 4 + (0,))
+        evolve(sw, d, 2.0)
+        assert len(calls) == 2
+        calls.clear()
+        evolve(sw, d, 2.1)
+        assert len(calls) == 3
 
     def test_empty_interval_is_identity(self):
         sw = build_switched_linear([np.zeros((2, 2))])
