@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nclyap.comparison import (
     KLSurface,
@@ -87,11 +87,13 @@ class TestGkThreshold:
         st.floats(min_value=0, max_value=100),
         st.floats(min_value=0, max_value=100),
     )
+    @example(k=3, r1=60.0, r2=65.0)  # the two values round in different binades
     def test_unit_lipschitz(self, k, r1, r2):
-        # exact in real arithmetic; the subtraction r - 1/k rounds, so allow
-        # one ulp of slack
+        # exact in real arithmetic; each subtraction r - 1/k rounds by up to
+        # half an ulp of its result, so allow one ulp of the larger r
         gap = abs(r1 - r2)
-        assert abs(gk_threshold(k, r1) - gk_threshold(k, r2)) <= gap * (1 + 1e-15) + 1e-15
+        bound = gap * (1 + 1e-15) + np.spacing(max(r1, r2))
+        assert abs(gk_threshold(k, r1) - gk_threshold(k, r2)) <= bound
 
 
 class TestLipschitzMinorant:
