@@ -114,10 +114,10 @@ def _manifest(config, outdir):
     }, indent=2, sort_keys=True))
 
 
-def _model(desc):
-    """The model a descriptor names; a descriptor naming none is a config error."""
+def _model(desc, build=model_from_descriptor):
+    """The model a descriptor names, or what ``build`` makes of it; a bad one is a config error."""
     try:
-        return model_from_descriptor(desc)
+        return build(desc)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad model descriptor {json.dumps(desc)}: {err!r}") from None
 
@@ -158,8 +158,10 @@ def _task_simulate(config, outdir, lines):
     x = np.asarray(p.get("x", [1.0] * model.dim), dtype=float)
     if x.shape != (model.dim,) or not np.isfinite(x).all():
         raise ConfigError(f"x must be a finite state of dimension {model.dim}, got {p['x']!r}")
-    traj = flow(model, float(p.get("t", 1.0)), x, _parse_signal(p.get("d")),
-                **_given(p, "step"))
+    d = _parse_signal(p.get("d"))
+    if d and any(v not in model.disturbance_set for v in d.values):
+        raise ConfigError(f"d must take values in {model.disturbance_set}, got {p['d']!r}")
+    traj = flow(model, float(p.get("t", 1.0)), x, d, **_given(p, "step"))
     _write(outdir, "trajectory.csv", traj.to_csv())
     if traj.escaped is not None:
         lines.append(f"ESCAPED: bracket ({traj.escaped[0]!r}, {traj.escaped[1]!r})")
@@ -190,10 +192,10 @@ def _task_verify(config, outdir, lines):
     p = config.params
     desc = config.model
     if desc.get("kind") == "l2_block":
-        block = build_l2_block_model(desc["n"], desc.get("epsilon", 0.0))
+        block = _model(desc, lambda d: build_l2_block_model(d["n"], d.get("epsilon", 0.0)))
         model, cand = block.system, block.candidate
     elif desc.get("kind") == "blowup":
-        model, cand = build_blowup_example(desc.get("c", 3.0))
+        model, cand = _model(desc, lambda d: build_blowup_example(d.get("c", 3.0)))
     else:
         raise ConfigError("verify task needs a model with an attached candidate "
                           "(l2_block or blowup)")

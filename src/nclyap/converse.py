@@ -22,7 +22,7 @@ import numpy as np
 
 from .comparison import (TabulatedMonotone, gk_threshold, invert_table, lipschitz_minorant,
                          sontag_factorize)
-from .systems import EscapeError, _csv, _unit_direction, flow, flow_batch, sub_rng
+from .systems import _completed, _csv, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
     "ConverseConfig",
@@ -120,11 +120,8 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
         best = 1.0
         basis = np.eye(model.dim)
         for d in signals:
-            cols = list(flow_batch(model, tau, basis, d, step=step))
-            for e, tr in zip(basis, cols):
-                if tr.escaped is not None:
-                    raise EscapeError(
-                        "escape during Lipschitz estimation", witness=(e, d, tr.escaped))
+            cols = [_completed(tr, "escape during Lipschitz estimation")
+                    for tr in flow_batch(model, tau, basis, d, step=step)]
             mats = np.stack([tr.states for tr in cols], axis=-1)  # (n_times, dim, dim)
             best = max(best, float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max()))
         return best
@@ -137,16 +134,12 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
     gaps = [float(np.linalg.norm(x - y)) for x, y in pairs]
     pairs = [(x, y, gap) for (x, y), gap in zip(pairs, gaps) if gap != 0.0]
     best = 0.0
+    msg = "escape during Lipschitz estimation: flow is not complete on the ball"
     for d in signals:
         # rows alternate x, y, so each pair's two trajectories come together
         rows = flow_batch(model, tau, [z for x, y, _ in pairs for z in (x, y)], d, step=step)
-        for (x, y, gap), tx, ty in zip(pairs, rows, rows):
-            for z, tz in ((x, tx), (y, ty)):
-                if tz.escaped is not None:
-                    raise EscapeError(
-                        "escape during Lipschitz estimation: flow is not complete "
-                        "on the ball", witness=(z, d, tz.escaped))
-            diffs = np.linalg.norm(tx.states - ty.states, axis=1)
+        for (_, _, gap), tx, ty in zip(pairs, rows, rows):
+            diffs = np.linalg.norm(_completed(tx, msg).states - _completed(ty, msg).states, axis=1)
             best = max(best, float(diffs.max()) / gap)
     return best
 
@@ -194,11 +187,8 @@ class VkEvaluator:
         cfg = self.config
         best = 0.0
         for d in self._signals:
-            traj = flow(model, T, x, d, step=step)
-            if traj.escaped is not None:
-                raise EscapeError(
-                    "escape during the construction horizon refutes the "
-                    "UGAS premise", witness=(x, d, traj.escaped))
+            traj = _completed(flow(model, T, x, d, step=step),
+                              "escape during the construction horizon refutes the UGAS premise")
             g = gk_threshold(self.k, cfg.rho(traj.norms))
             if self.kind == "integral":
                 val = float(np.trapezoid(g, traj.times))

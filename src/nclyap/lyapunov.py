@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import EscapeError, _csv, _unit_direction, flow, flow_batch, sub_rng
+from .systems import EscapeError, _completed, _csv, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
     "LyapunovCandidate",
@@ -252,12 +252,8 @@ def verify_integral_bound(V, alpha, model, x, d=None, horizon=10.0, quadrature_s
     bound presumes the trajectory exists.
     """
     x = model.state(x)
-    traj = flow(model, horizon, x, d, step=quadrature_step)
-    if traj.escaped is not None:
-        raise EscapeError(
-            "trajectory escaped before the quadrature horizon",
-            witness=(x, traj.signal, traj.escaped),
-        )
+    traj = _completed(flow(model, horizon, x, d, step=quadrature_step),
+                      "trajectory escaped before the quadrature horizon")
     g = np.array([float(alpha(n)) for n in traj.norms])
     t = traj.times
     increments = 0.5 * (g[1:] + g[:-1]) * np.diff(t)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import expm, solve_continuous_lyapunov
+from scipy.linalg import expm
 
 from .lyapunov import LyapunovCandidate
-from .systems import DisturbanceSet, EscapeError, SystemModel, flow_batch
+from .systems import DisturbanceSet, SystemModel, _completed, flow_batch
 
 __all__ = [
     "build_scalar_example",
@@ -256,11 +257,6 @@ def build_blowup_example(c=3.0):
 # the l2 block-operator example
 # ---------------------------------------------------------------------------
 
-def _block_matrix(i, epsilon):
-    A = np.diag(np.full(i, -1.0 + epsilon)) + np.diag(np.ones(i - 1), 1)
-    return A
-
-
 def _block_exponential(n, epsilon, t):
     """expm(A_n t) from its closed form: upper-triangular Toeplitz with entry
     e^{(-1 + epsilon) t} t^k / k! on the k-th superdiagonal.
@@ -287,7 +283,11 @@ class BlockOperatorModel:
     Block i is the i x i matrix with -1 + epsilon on the diagonal and 1 on
     the superdiagonal; the attached quadratic functional sums the per-block
     forms through P_i, the leading i x i corner of ``lyapunov`` over its
-    spectral norm ``lyapunov_norms[i - 1]``.  The tail blocks beyond the
+    spectral norm ``lyapunov_norms[i - 1]``.  ``lyapunov`` solves
+    (A + I/2)^T P + P (A + I/2) = -I at epsilon = 0: it is the integer matrix
+    P = int_0^inf e^{-t} e^{N^T t} e^{N t} dt (N the superdiagonal shift),
+    P[i, j] = sum_{k=0}^{min(i, j)} C(i + j - 2k, i - k) (0-based), each entry
+    correctly rounded to float.  The tail blocks beyond the
     truncation are exactly zero for states supported on the first
     ``n_blocks`` blocks, so the truncation is exact there.
 
@@ -330,16 +330,16 @@ class BlockOperatorModel:
         return self.lyapunov[:i, :i] / self.lyapunov_norms[i - 1]
 
     def V(self, x):
-        """The sum over blocks of x_i^T P_i x_i.
+        """The sum over blocks of x_i^T P_i x_i, each form clamped at 0.
 
-        Along a block's smallest-eigenvalue eigendirection the float sum is
-        rounding noise from about block 25 on: at n = 40 it is off the exact
-        rational value by 1e-4 relative at block 30, and at block 120 it
-        reads 5.8e-22 where the exact value is 7.5e-22.
+        Along a block's smallest-eigenvalue eigendirection the float form is
+        rounding noise from about block 25 on: at n = 40 it is 1e-4 off the
+        exact value at block 30, and at n = 120 block 111's rounds below 0.
         """
         X = np.zeros((self.n_blocks, self.n_blocks))
         X.flat[self._tril] = self.system.state(x)
-        return float(((X @ self.lyapunov) * X).sum(axis=1) @ (1.0 / self.lyapunov_norms))
+        forms = np.maximum(((X @ self.lyapunov) * X).sum(axis=1), 0.0)
+        return float(forms @ (1.0 / self.lyapunov_norms))
 
     def lambda_mins(self):
         n = self.n_blocks
@@ -390,27 +390,26 @@ def build_l2_block_model(n, epsilon=0.0):
 
     P_i solves the shifted equation (A_i + I/2)^T P + P (A_i + I/2) = -I at
     epsilon = 0, then is rescaled to unit spectral norm, which yields
-    A_i^T P_i + P_i A_i < -P_i strictly.  The solve happens on the
-    epsilon = 0 blocks regardless of epsilon: the same P_i witness the
-    shifted decay rate 2 epsilon - 1 for the epsilon variant.  One solve
-    serves every block: M_i = A_i + I/2 is upper-triangular and the leading
-    corner of M_n, so the i x i corner of block n's equation is block i's.
+    A_i^T P_i + P_i A_i < -P_i strictly; the same P_i witness the shifted
+    decay rate 2 epsilon - 1 for every epsilon.  P_i is the leading corner
+    of block n's P, as M_i = A_i + I/2 is of the upper-triangular M_n.
+    Entry by entry the equation is P[i, j] = [i = j] + P[i-1, j] + P[i, j-1]:
+    row i of P is the running sum of row i - 1 plus e_i, in exact integers,
+    and each entry is rounded to float once.  Past n = 515, P overflows.
     """
-    if n < 1 or int(n) != n:
-        raise ValueError("n must be a positive integer")
+    if n < 1 or int(n) != n or n > 515:  # P[515, 515] (0-based) is about 1.8e308
+        raise ValueError("n must be an integer in [1, 515]: past 515 blocks, P overflows float64")
     if not (0.0 <= epsilon < 0.5):
         raise ValueError("epsilon must lie in [0, 0.5)")
-    M = _block_matrix(n, 0.5)  # A_n + I/2 at epsilon = 0
-    P = solve_continuous_lyapunov(M.T, -np.eye(n))
-    P = 0.5 * (P + P.T)
-    R = M.T @ P + P @ M + np.eye(n)
+    n = int(n)
+    row, P = [0] * n, np.empty((n, n))
+    for i in range(n):
+        row[i] += 1
+        row = list(accumulate(row))
+        P[i] = [float(v) for v in row]
     norms = np.array([np.linalg.norm(P[:i, :i], 2) for i in range(1, n + 1)])
-    for i in range(1, n + 1):
-        resid = np.linalg.norm(R[:i, :i], 2)
-        scale = 1.0 + 2.0 * np.linalg.norm(M[:i, :i], 2) * norms[i - 1]
-        if not np.isfinite(resid) or resid > 1e-10 * scale:
-            raise RuntimeError(f"Lyapunov solve failed for block {i} (residual {resid:.2e})")
-    return BlockOperatorModel(int(n), float(epsilon), _block_matrix(n, epsilon), P, norms)
+    A = np.diag(np.full(n, -1.0 + epsilon)) + np.diag(np.ones(n - 1), 1)
+    return BlockOperatorModel(n, float(epsilon), A, P, norms)
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +480,8 @@ def evolve(model, d, t, s=0.0):
     basis = np.eye(model.dimension)
     if t == s:
         return basis
-    ds = d.shift(s)
-    cols = list(flow_batch(model.system, t - s, basis, ds, step=t - s))
-    for e, tr in zip(basis, cols):
-        if tr.escaped is not None:
-            raise EscapeError("evolution operator escaped", witness=(e, ds, tr.escaped))
+    cols = [_completed(tr, "evolution operator escaped")
+            for tr in flow_batch(model.system, t - s, basis, d.shift(s), step=t - s)]
     return np.stack([tr.final_state for tr in cols], axis=1)
 
 

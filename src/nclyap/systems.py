@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -49,6 +50,13 @@ class EscapeError(RuntimeError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def _completed(traj, message):
+    """``traj``, or an ``EscapeError`` whose witness (start, signal, bracket) ``flow`` replays."""
+    if traj.escaped is not None:
+        raise EscapeError(message, witness=(traj.states[0], traj.signal, traj.escaped))
+    return traj
 
 
 def sub_rng(seed, *key):
@@ -220,6 +228,12 @@ class DisturbanceSet:
     @classmethod
     def finite(cls, members):
         return cls("finite", members=tuple(members))
+
+    def __contains__(self, value):
+        """Whether ``value`` is in D: one of the members, or a real number in [lo, hi]."""
+        if self.kind == "finite":
+            return value in self.members
+        return isinstance(value, numbers.Real) and self.lo <= value <= self.hi
 
     @property
     def bounded(self):

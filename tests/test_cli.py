@@ -155,6 +155,13 @@ class TestMainEntry:
                   "--samples", "0"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("desc", ['{"kind": "l2_block"}', '{"kind": "l2_block", "n": 0}'],
+                             ids=["missing-n", "n-zero"])
+    def test_verify_bad_descriptor_is_usage_error(self, tmp_path, desc):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "verify", "--model", desc])
+        assert exc.value.code == 2
+
     def test_verify_without_candidate_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path), "verify", "--model", '{"kind": "linear", "a": [[-1.0]]}'])
@@ -165,7 +172,10 @@ class TestMainEntry:
         ["--model", '{"kind": "scalar_example"}'],
         ["--model", '{"kind": "linear", "a": [[-1.0]]}', "--x", "1,2"],
         ["--model", '{"kind": "linear", "a": [[-1.0]]}', "--d", "[[0.5, 1]]"],
-    ], ids=["unknown-kind", "missing-key", "x-shape", "d-start"])
+        ["--model", '{"kind": "linear", "a": [[-1.0]]}', "--d", "1"],
+        ["--model", '{"kind": "blowup"}', "--d", "1"],
+    ], ids=["unknown-kind", "missing-key", "x-shape", "d-start", "d-outside-set-linear",
+            "d-outside-set-blowup"])
     def test_bad_simulate_input_is_usage_error(self, tmp_path, flags):
         with pytest.raises(SystemExit) as exc:
             main(["--out", str(tmp_path), "simulate", *flags])

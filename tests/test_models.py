@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -217,6 +218,13 @@ class TestL2BlockModel:
             assert abs(block.V(x) - ref) <= 1e-13 * ref
         assert block.V(np.zeros(block.dim)) == 0.0
 
+    def test_v_is_nonnegative_along_witness_directions(self):
+        # at n = 120 block 111's float form rounds below 0 along its own
+        # smallest-eigenvalue direction; each block's form counts as >= 0
+        block = build_l2_block_model(120, 0.0)
+        for w in block.witness_directions():
+            assert block.V(w / np.linalg.norm(w)) >= 0.0
+
     def test_v_rejects_bad_states(self):
         block = build_l2_block_model(5, 0.0)
         dim = block.dim
@@ -259,9 +267,24 @@ class TestL2BlockModel:
         v0 = cand(wit)
         assert cand(traj.final_state) <= np.exp((2 * 0.25 - 1) * 6.0) * v0 * 1.001
 
+    def test_lyapunov_matrix_is_rounded_binomial_sum(self):
+        # P = int_0^inf e^{-t} e^{N^T t} e^{N t} dt entry by entry, not the
+        # recurrence the build runs; n = 60 takes in blocks 32-60, where a
+        # float Lyapunov solve is off in the last bits
+        n = 60
+        P = build_l2_block_model(n, 0.0).lyapunov
+        for i in range(n):
+            for j in range(n):
+                exact = sum(math.comb(i + j - 2 * k, i - k) for k in range(min(i, j) + 1))
+                assert P[i, j] == float(exact), (i, j)
+
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             build_l2_block_model(3, 0.7)
+
+    def test_rejects_n_past_float_range(self):
+        with pytest.raises(ValueError, match="515"):
+            build_l2_block_model(516)
 
     @pytest.mark.parametrize("eps", [0.0, 0.25])
     @pytest.mark.parametrize("t,step", [(0.7, 0.7), (2.0, 2.0), (1.37, 1e-2)])

@@ -111,6 +111,13 @@ class TestDisturbanceSet:
         assert DisturbanceSet.interval(-np.inf, 0.5).corner_values(2.0) == [-2.0, 0.0, 0.5]
         assert DisturbanceSet.interval(1.0, 1.0).corner_values() == [1.0]
 
+    def test_membership(self):
+        modes = DisturbanceSet.finite(range(2))
+        assert 1 in modes and 0.0 in modes and 2 not in modes and 0.5 not in modes
+        unit = DisturbanceSet.interval(0.0, 1.0)
+        assert 0.0 in unit and 1 in unit and 1.5 not in unit and "a" not in unit
+        assert -1e300 in DisturbanceSet.real_line()
+
 
 class TestFlow:
     def test_closed_form_decay(self):
