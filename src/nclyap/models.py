@@ -13,7 +13,6 @@ from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lyapunov import LyapunovCandidate
 from .systems import DisturbanceSet, SystemModel, _completed, flow_batch
@@ -31,6 +30,15 @@ __all__ = [
     "SwitchedLinearModel",
     "model_from_descriptor",
 ]
+
+
+def expm(a):
+    """The matrix exponential of a.  scipy.linalg is imported on first use:
+    it costs more than the rest of the package together, and only the
+    switched-linear models need it."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +91,10 @@ def build_ugatt_example():
 
     def rhs(z, d):
         x, y = z[..., 0], z[..., 1]
-        return np.stack(
-            [d * x * y - x**3 - np.cbrt(x), -(y**3) - np.cbrt(y)], axis=-1
-        )
+        out = np.empty(np.shape(z))
+        out[..., 0] = d * x * y - x**3 - np.cbrt(x)
+        out[..., 1] = -(y**3) - np.cbrt(y)
+        return out
 
     return SystemModel(
         name="ugatt-not-rep",

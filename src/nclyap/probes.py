@@ -18,7 +18,7 @@ import numpy as np
 
 from .comparison import KLSurface, TabulatedMonotone
 from .models import evolve
-from .systems import DisturbanceSignal, _unit_direction, flow, flow_batch, sub_rng
+from .systems import DisturbanceSignal, _unit_direction, flow_batch, sub_rng
 
 __all__ = [
     "ProbeReport",
@@ -129,6 +129,26 @@ def _sphere_states(rng, dim, radius, count, extra=()):
 # reachability envelope mu
 # ---------------------------------------------------------------------------
 
+def _confirmed(model, horizon, states, d, step):
+    """The summary of each state's flow under d, escapes confirmed by refinement.
+
+    Stiff dynamics under large disturbance magnitudes can blow up the
+    fixed-step integrator spuriously, so an escape claim is only believed
+    once it survives steps 8 and 64 times finer.  All states flow as one
+    batch, then the escaped rows as one batch at each finer step; rows never
+    mix, so each summary is that of the state's own flow at its last step.
+    """
+    summaries = [None] * len(states)
+    rows = range(len(states))
+    for h in (step, step / 8.0, step / 64.0):
+        for i, tr in zip(rows, flow_batch(model, horizon, [states[i] for i in rows], d, step=h)):
+            summaries[i] = _TrajSummary(states[i], d, tr.times, tr.norms, tr.escaped)
+        rows = [i for i in rows if summaries[i].escaped is not None]
+        if not rows:
+            break
+    return summaries
+
+
 def _sample(model, rng, radius, n_states, n_signals, horizon, *, magnitude, pieces, step,
             extra=(), interior=0):
     """Flow sampled start states under sampled probe signals over the horizon.
@@ -137,30 +157,21 @@ def _sample(model, rng, radius, n_states, n_signals, horizon, *, magnitude, piec
     directions, then ``n_states`` random ones) followed by the first
     ``interior`` of them pulled inside the ball; the signals are the probe
     signals of the disturbance set.  ``rng`` is drawn in exactly that order.
-    Every pair lazily yields one ``_TrajSummary``, escapes confirmed by
-    refinement.  A signal's first pair flows all states under it as one
-    batch, so a caller that stops early skips the remaining batches and
-    refinements.
+    Every pair lazily yields one ``_TrajSummary``, state-major.  A signal's
+    first pair flows all states under it as one batch and confirms that
+    batch's escapes a batch at a time (``_confirmed``), so a caller that
+    stops early skips the remaining signals' flows and refinements.
     """
     states = _sphere_states(rng, model.dim, radius, n_states, extra=extra)
     states += [s * float(rng.uniform(0.2, 0.9)) for s in states[:interior]]
     signals = model.disturbance_set.probe_signals(
         rng, max(horizon, 1e-6), n_signals, pieces=pieces, magnitude=magnitude)
-    batches = [None] * len(signals)  # per signal: the unrefined summary of each state
-    for i, x in enumerate(states):
+    batches = [None] * len(signals)  # per signal: the confirmed summary of each state
+    for i in range(len(states)):
         for j, d in enumerate(signals):
             if batches[j] is None:
-                batches[j] = [_TrajSummary(x0, d, tr.times, tr.norms, tr.escaped) for x0, tr
-                              in zip(states, flow_batch(model, horizon, states, d, step=step))]
-            tr = batches[j][i]
-            # stiff dynamics under large disturbance magnitudes can blow up the
-            # fixed-step integrator spuriously, so an escape claim is only
-            # believed once it survives steps 8 and 64 times finer
-            for factor in (8.0, 64.0):
-                if tr.escaped is not None:
-                    traj = flow(model, horizon, x, d, step=step / factor)
-                    tr = _TrajSummary(x, d, traj.times, traj.norms, traj.escaped)
-            yield tr
+                batches[j] = _confirmed(model, horizon, states, d, step)
+            yield batches[j][i]
 
 
 def _mu_scan(model, C_grid, tau_grid, budget, *, seed, magnitude, pieces, step):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,3 +492,26 @@ class TestDescriptors:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             model_from_descriptor({"kind": "nope"})
+
+
+def test_rk4_and_l2_block_paths_never_import_scipy_linalg():
+    # a fresh interpreter, since other test modules import scipy.linalg
+    import nclyap
+
+    code = (
+        "import sys\n"
+        "import nclyap\n"
+        "from nclyap.models import build_l2_block_model, build_ugatt_example\n"
+        "from nclyap.probes import probe_attractivity\n"
+        "from nclyap.systems import flow\n"
+        "probe_attractivity(build_ugatt_example(), 'UGAS', r_grid=(1.0,), budget=2,\n"
+        "                   horizon=2.0, step=5e-2)\n"
+        "block = build_l2_block_model(12)\n"
+        "flow(block.system, 1.0, block.singular_direction(1.0), step=0.5)\n"
+        "sys.exit('scipy.linalg' in sys.modules and 'scipy.linalg was imported')\n"
+    )
+    src = str(Path(nclyap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

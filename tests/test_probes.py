@@ -139,6 +139,52 @@ class TestAttractivity:
             "r=2.0,eps=0.05": 1.52, "r=2.0,eps=0.1": 1.4000000000000001,
         }
 
+    def test_escapes_confirmed_one_batch_per_step_factor(self, monkeypatch):
+        # x' = d x at magnitude 64 escapes under every growing signal; each
+        # signal flows its states once, then its escaped rows once at step / 8
+        # and the rows still escaped once at step / 64
+        calls = []
+        flow_batch = probes.flow_batch
+
+        def counting(model, t, X, d, step):
+            calls.append((d, step, len(X)))
+            return flow_batch(model, t, X, d, step=step)
+
+        monkeypatch.setattr(probes, "flow_batch", counting)
+        step = 2e-2
+        cells, _ = probes._mu_scan(build_scalar_example("ii"), (1.0,), (0.0, 0.5), 3, seed=0,
+                                   magnitude=64.0, pieces=8, step=step)
+        assert np.isinf(cells[0, 1])
+        per_signal = {}
+        for d, h, rows in calls:
+            per_signal.setdefault(id(d), []).append((h, rows))
+        assert len(per_signal) == 6  # the corners -64, 0, 64 and three random signals
+        for runs in per_signal.values():
+            assert 1 <= len(runs) <= 3
+            assert [h for h, _ in runs] == [step, step / 8.0, step / 64.0][:len(runs)]
+            assert all(a >= b for (_, a), (_, b) in zip(runs, runs[1:]))
+        assert max(len(runs) for runs in per_signal.values()) == 3
+
+    def test_confirmed_escapes_match_solo_refined_flows(self):
+        # each summary is bit for bit the flow of its state alone at the last
+        # step of the 1, 1/8, 1/64 refinement that its escape reached
+        model = build_scalar_example("ii")
+        step, horizon = 2e-2, 0.5
+        trajs = list(probes._sample(model, probes.sub_rng(0, 11, 0), 1.0, 3, 3, horizon,
+                                    magnitude=64.0, pieces=8, step=step, interior=1))
+        assert len(trajs) == 6 * 6  # six states under six signals
+        refined = 0
+        for tr in trajs:
+            solo = flow(model, horizon, tr.x0, tr.signal, step=step)
+            for factor in (8.0, 64.0):
+                if solo.escaped is not None:
+                    solo = flow(model, horizon, tr.x0, tr.signal, step=step / factor)
+                    refined += 1
+            np.testing.assert_array_equal(tr.times, solo.times)
+            np.testing.assert_array_equal(tr.norms, solo.norms)
+            assert tr.escaped == solo.escaped
+        assert refined > 0 and any(tr.escaped is not None for tr in trajs)
+
     def test_block_eps_quarter_ugas_refuted(self):
         block = build_l2_block_model(30, 0.25)
         wit = block.singular_direction(10.0)
