@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comparison import (TabulatedMonotone, gk_threshold, invert_table, lipschitz_minorant,
-                         sontag_factorize)
+from .comparison import (KLSurface, TabulatedMonotone, gk_threshold, invert_table,
+                         lipschitz_minorant, sontag_factorize)
 from .systems import _completed, _csv, _unit_direction, flow, flow_batch, sub_rng
 
 __all__ = [
@@ -80,8 +80,6 @@ class ConverseConfig:
         trajectories sampled later stay below it; rho is the unit-Lipschitz
         minorant of the inverse of the factorization's outer function.
         """
-        from .comparison import KLSurface
-
         inflated = KLSurface(beta.r_grid, beta.t_grid, beta.values * (1.0 + 0.05),
                              kind="KL")
         alpha1, alpha2 = sontag_factorize(inflated)
@@ -271,24 +269,22 @@ class ConstructedLyapunov:
         )
 
 
-def assemble_w(model, config, kind="integral", lipschitz_budget=8):
+def assemble_w(model, config, lipschitz_budget=8):
     """Assemble the weighted construction W with its weights and tables.
 
-    The member family is integral-type by default (the non-coercive
-    construction); ``kind="max"`` assembles the max-type family with the
-    same weight pattern.  ``M(R, k)`` tables are built for the reference
-    radius ``config.R`` and for the weight anchors R = k; their flow
-    Lipschitz estimates integrate with step ``max(quadrature_step, 1e-3)``.
+    The members are integral-type (the non-coercive construction).
+    ``M(R, k) = T(R, k) L(R, k)`` tables are built for the reference radius
+    ``config.R`` and for the weight anchors R = k; their flow Lipschitz
+    estimates integrate with step ``max(quadrature_step, 1e-3)``.
     """
     cfg = config
     evaluators = []
     horizons = {}
     lipschitz = {}
     weights = np.zeros(cfg.k_max)
-    build = construct_vk_integral if kind == "integral" else construct_vk_max
     step = max(cfg.quadrature_step, 1e-3)
     for k in range(1, cfg.k_max + 1):
-        vk = build(model, k, cfg)
+        vk = construct_vk_integral(model, k, cfg)
         evaluators.append(vk)
         for R in {float(k), float(cfg.R)}:
             T = vk.horizon(R)
@@ -299,9 +295,9 @@ def assemble_w(model, config, kind="integral", lipschitz_budget=8):
             L = estimate_flow_lipschitz(
                 model, R, T, budget=lipschitz_budget, seed=cfg.seed,
                 step=step, magnitude=cfg.magnitude)
-            lipschitz[(round(R, 12), k)] = cfg.horizon(R, k) * L
+            lipschitz[(round(R, 12), k)] = T * L
         weights[k - 1] = 2.0 ** (-k) / (1.0 + lipschitz[(round(float(k), 12), k)])
     return ConstructedLyapunov(
         tuple(evaluators), weights, cfg, horizons, lipschitz,
-        metadata={"kind": kind, "model": model.name},
+        metadata={"kind": "integral", "model": model.name},
     )

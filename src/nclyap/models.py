@@ -8,12 +8,14 @@ nonlinear models carry vector fields for the fixed-step integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
+from .comparison import TabulatedMonotone, power_table
 from .lyapunov import LyapunovCandidate
 from .systems import DisturbanceSet, SystemModel, _completed, flow_batch
 
@@ -110,11 +112,15 @@ def build_ugatt_example():
 # the planar blow-up example with a non-coercive Lyapunov function
 # ---------------------------------------------------------------------------
 
+_LOG_2 = math.log(2.0)
+_2_PI = 2.0 / math.pi
+
+
 def _log_cosh(a):
     """log cosh a without overflow: past |a| = 20, cosh a is e^|a| / 2 to
     within 1e-17 relative, so log cosh a is |a| - log 2 there."""
-    a = np.abs(a)
-    return np.where(a > 20.0, a - np.log(2.0), np.log(np.cosh(np.minimum(a, 20.0))))
+    a = abs(a)
+    return a - _LOG_2 if a > 20.0 else math.log(math.cosh(a))
 
 
 class _BlowupData:
@@ -134,74 +140,70 @@ class _BlowupData:
         v1(x, z2) = log cosh x + log cosh z2,
 
     and on z1 <= -1, F(z) = (0, -1 - eps2(z2)) and V(z) = 2 + (2/pi) arctan(z2).
-    All of these act on arrays of states as rows.
+    ``V``, ``vdot_along_F``, ``h`` and ``F2`` take one state or an array of
+    states as rows, which they map one row at a time through ``_at``, in
+    plain float math.  A state too large for it gives inf or nan, never an
+    exception, so a flow that overflows reports an escape.
     """
 
     def __init__(self, c):
         self.c = float(c)
 
-    def _prelude(self, z):
-        """The factors V and F share, for states z as rows: z1, z2, the mask
-        z1 > -1, x1 = psi^{-1}(z1), the bump mask x1 < -c, exp(1/(x1 + c)),
-        eta, (2/pi) arctan(z2) and v1."""
-        z = np.asarray(z, dtype=float)
-        z1, z2 = z[..., 0], z[..., 1]
-        inner = z1 > -1.0
-        w = np.where(inner, z1, 0.0)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # psi(x) = x (x >= 0), e^x - 1 (x < 0) inverts on z1 > -1
-            x1 = np.where(w >= 0.0, w, np.log1p(np.maximum(w, -1.0 + 1e-300)))
-            ex = np.exp(1.0 / (x1 + self.c))
-        bump = x1 < -self.c
-        eta = np.where(bump, ex, 0.0)
-        a2 = (2.0 / np.pi) * np.arctan(z2)
+    def _at(self, z1, z2):
+        """F(z), the rate of V along F and V(z) at the state z = (z1, z2),
+        as the tuple (F_1, F_2, rate, V)."""
+        a2 = _2_PI * math.atan(z2)
+        t2 = math.tanh(z2)
+        if z1 <= -1.0:
+            return 0.0, -1.0 - 0.5 * t2, (-1.0 - 0.5 * t2) * _2_PI / (1.0 + z2 * z2), 2.0 + a2
+        # psi^{-1}(z1), and psi'(psi^{-1}(z1)): 1 for z1 >= 0 and 1 + z1 below
+        x1, dpsi = (z1, 1.0) if z1 >= 0.0 else (math.log1p(z1), 1.0 + z1)
+        t1 = math.tanh(x1)
         v1 = _log_cosh(x1) + _log_cosh(z2)
-        return z1, z2, inner, x1, bump, ex, eta, a2, v1
+        rate = _2_PI / (1.0 + v1 * v1) * (-(2.0 * t1) * t1 - (0.5 * t2) * t2)
+        v = _2_PI * math.atan(v1)
+        if x1 < -self.c:  # W's bump eta and its derivative -eta / (x1 + c)^2
+            s = x1 + self.c
+            eta = math.exp(1.0 / s)
+            rate += (eta / (s * s) * (1.0 + a2) * (2.0 * t1 + t2)
+                     + eta * _2_PI / (1.0 + z2 * z2) * (t1 - 0.5 * t2))
+            v += eta * (1.0 + a2)
+        return dpsi * (-(2.0 * t1) - t2), t1 - 0.5 * t2, rate, v
+
+    @staticmethod
+    def _h(z1, z2, rate):
+        """The time reparametrization at z, given the rate of V along F there."""
+        n = math.sqrt(z1 * z1 + z2 * z2)
+        u = min(max(n - 1.0, 0.0), 1.0)
+        blend = u * u * (3.0 - 2.0 * u)  # smoothstep: 0 on ||z|| <= 1, 1 beyond 2
+        # the rate is < 0 wherever blend > 0, unless it underflows at a huge state
+        return max(1.0, blend * (n / abs(rate))) if blend > 0.0 and rate != 0.0 else 1.0
+
+    def _map(self, z, at):
+        """at(z1, z2) on one state z, or an array of them on each row of z."""
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 1:
+            return at(*z.tolist())
+        vals = np.array([at(z1, z2) for z1, z2 in z.reshape(-1, 2).tolist()], dtype=float)
+        return vals.reshape(z.shape[:-1] + vals.shape[1:])
 
     def V(self, z):
-        _, _, inner, _, _, _, eta, a2, v1 = self._prelude(z)
-        out = np.where(inner, (2.0 / np.pi) * np.arctan(v1) + eta * (1.0 + a2), 2.0 + a2)
-        return float(out) if out.ndim == 0 else out
-
-    def _field(self, z):
-        """F(z) and the rate of V along it, each transcendental factor evaluated once."""
-        z1, z2, inner, x1, bump, ex, eta, a2, v1 = self._prelude(z)
-        t1, t2 = np.tanh(x1), np.tanh(z2)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            eta_prime = np.where(bump, -ex / (x1 + self.c) ** 2, 0.0)
-        # psi'(psi^{-1}(z1)) is 1 for z1 >= 0 and 1 + z1 below
-        f1 = np.where(inner, np.where(z1 >= 0.0, 1.0, 1.0 + z1) * (-(2.0 * t1) - t2), 0.0)
-        f2 = np.where(inner, t1 - 0.5 * t2, -1.0 - 0.5 * t2)
-        vin = ((2.0 / np.pi) / (1.0 + v1 * v1) * (-(2.0 * t1) * t1 - (0.5 * t2) * t2)
-               + (-eta_prime * (1.0 + a2) * (2.0 * t1 + t2)
-                  + eta * (2.0 / np.pi) / (1.0 + z2 * z2) * (t1 - 0.5 * t2)))
-        vout = (-1.0 - 0.5 * t2) * (2.0 / np.pi) / (1.0 + z2 * z2)
-        return np.stack([f1, f2], axis=-1), np.where(inner, vin, vout)
+        return self._map(z, lambda z1, z2: self._at(z1, z2)[3])
 
     def vdot_along_F(self, z):
         """Analytic derivative of V along z' = F(z); continuous across z1 = -1."""
-        out = self._field(z)[1]
-        return float(out) if out.ndim == 0 else out
+        return self._map(z, lambda z1, z2: self._at(z1, z2)[2])
 
     def h(self, z):
-        return self._h(np.asarray(z, dtype=float), self.vdot_along_F(z))
+        return self._map(z, lambda z1, z2: self._h(z1, z2, self._at(z1, z2)[2]))
 
-    @staticmethod
-    def _h(z, vd):
-        n = np.linalg.norm(z, axis=-1)
-        u = np.clip(n - 1.0, 0.0, 1.0)
-        blend = u * u * (3.0 - 2.0 * u)  # smoothstep: 0 on ||z|| <= 1, 1 beyond 2
-        # vd < 0 wherever blend > 0 (the rate only vanishes at the origin),
-        # so the ratio is only formed where it is finite
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where((blend > 0.0) & (np.abs(vd) > 0.0),
-                             n / np.where(np.abs(vd) > 0.0, np.abs(vd), 1.0),
-                             0.0)
-        return np.maximum(1.0, blend * ratio)
+    def _f2(self, z1, z2):
+        f1, f2, rate, _ = self._at(z1, z2)
+        h = self._h(z1, z2, rate)
+        return h * f1, h * f2
 
     def F2(self, z):
-        f, vd = self._field(z)
-        return np.asarray(self._h(np.asarray(z, dtype=float), vd))[..., None] * f
+        return np.asarray(self._map(z, self._f2))
 
 
 def blowup_construction(c=3.0):
@@ -249,8 +251,6 @@ def build_blowup_example(c=3.0):
     env = env + 1e-9 * np.arange(1, env.size + 1)
     grid = np.concatenate([[0.0], radii])
     vals = np.concatenate([[0.0], env])
-    from .comparison import TabulatedMonotone
-
     psi2 = TabulatedMonotone(
         grid,
         vals,
@@ -385,8 +385,6 @@ class BlockOperatorModel:
 
     @property
     def candidate(self):
-        from .comparison import power_table
-
         return LyapunovCandidate(
             eval=self.V,
             name="V-l2-block",

@@ -191,20 +191,16 @@ def _mu_scan(model, C_grid, tau_grid, budget, *, seed, magnitude, pieces, step):
         trajs = _sample(model, sub_rng(seed, 11, i), C, 3, budget, tau_max,
                         magnitude=magnitude, pieces=pieces, step=step, interior=1)
         for tr in trajs:
-            run = np.maximum.accumulate(tr.norms)
-            for j, tau in enumerate(tau_grid):
-                if tr.escaped is not None and tau >= tr.escaped[0]:
-                    if not np.isinf(cells[i, j]):
-                        cells[i, j] = np.inf
-                        wits[i][j] = Witness(tr.x0, tr.signal, tr.escaped[1], np.inf)
-                    continue
-                jt = int(np.searchsorted(tr.times, tau, side="right")) - 1
-                jt = max(jt, 0)
-                val = float(run[jt])
-                if val > cells[i, j]:
-                    cells[i, j] = val
-                    wits[i][j] = Witness(tr.x0, tr.signal,
-                                         float(tr.times[int(np.argmax(tr.norms[: jt + 1]))]), val)
+            # the sup of the norm up to each tau, inf from the escape on
+            jt = np.maximum(np.searchsorted(tr.times, tau_grid, side="right") - 1, 0)
+            vals = np.maximum.accumulate(tr.norms)[jt]
+            escaped = tau_grid >= (np.inf if tr.escaped is None else tr.escaped[0])
+            vals[escaped] = np.inf
+            for j in np.flatnonzero(vals > cells[i]):
+                cells[i, j] = vals[j]
+                t = (tr.escaped[1] if escaped[j]
+                     else float(tr.times[int(np.argmax(tr.norms[: jt[j] + 1]))]))
+                wits[i][j] = Witness(tr.x0, tr.signal, t, float(vals[j]))
     # running max over C keeps the estimate monotone in its first argument
     cells = np.maximum.accumulate(cells, axis=0)
     return cells, wits
@@ -468,8 +464,8 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
                     ok_tail = False
                 idx = np.minimum(np.searchsorted(tr.times, t_grid, side="right") - 1,
                                  len(tr.times) - 1)
-                env = np.array([norms[j:].max() for j in idx])  # future sup: decreasing
-                beta_vals[i] = np.maximum(beta_vals[i], env)
+                future_sup = np.maximum.accumulate(norms[::-1])[::-1]  # decreasing
+                beta_vals[i] = np.maximum(beta_vals[i], future_sup[idx])
         beta_vals = np.maximum.accumulate(beta_vals, axis=0)
         if witnesses:
             return ProbeReport("UGAS", "refuted", witnesses=tuple(witnesses[:3]),

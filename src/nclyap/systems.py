@@ -242,9 +242,14 @@ class DisturbanceSet:
         return bool(np.isfinite(self.lo) and np.isfinite(self.hi))
 
     def clipped(self, magnitude):
-        """Effective bounds at a sweep magnitude (for unbounded sets)."""
-        lo = np.maximum(self.lo, -magnitude)
-        hi = np.minimum(self.hi, magnitude)
+        """The bounds probed at a sweep magnitude: lo and hi, an infinite one
+        replaced by -magnitude or magnitude.  A half-infinite D whose finite
+        end lies beyond the magnitude leaves nothing to probe."""
+        lo = -magnitude if self.lo == -math.inf else self.lo
+        hi = magnitude if self.hi == math.inf else self.hi
+        if not lo <= hi:
+            raise ValueError(f"D = [{self.lo!r}, {self.hi!r}] has no value within "
+                             f"magnitude {magnitude!r}")
         return lo, hi
 
     def corner_values(self, magnitude=1.0):
@@ -315,10 +320,12 @@ class SystemModel:
         return _states(self, [np.atleast_1d(x)])[0]
 
     def default_signal(self):
-        if self.disturbance_set.kind == "finite":
-            return DisturbanceSignal.constant(self.disturbance_set.members[0])
-        lo, hi = self.disturbance_set.clipped(1.0)
-        return DisturbanceSignal.constant(0.0 if lo <= 0.0 <= hi else float(0.5 * (lo + hi)))
+        """The constant signal at the first member of a finite D, or at the
+        value of an interval D nearest 0."""
+        dset = self.disturbance_set
+        if dset.kind == "finite":
+            return DisturbanceSignal.constant(dset.members[0])
+        return DisturbanceSignal.constant(float(min(max(0.0, dset.lo), dset.hi)))
 
 
 @dataclass(frozen=True)

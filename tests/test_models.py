@@ -19,7 +19,7 @@ from nclyap.models import (
     evolve,
     model_from_descriptor,
 )
-from nclyap.systems import DisturbanceSignal, EscapeError, flow
+from nclyap.systems import DisturbanceSet, DisturbanceSignal, EscapeError, SystemModel, flow
 
 from _oracles import exact_lambda_min_normalized, integer_lyapunov_block
 
@@ -125,6 +125,45 @@ class TestBlowupExample:
             v, f, h, vdot = data.V(zs), data.F2(zs), data.h(zs), data.vdot_along_F(zs)
         assert np.all((0.0 < v) & (v < 3.0)) and np.all(np.isfinite(f))
         assert np.all(h * vdot <= -np.linalg.norm(zs, axis=1) * (1.0 - 1e-12))
+
+    def test_huge_and_non_finite_rows_do_not_raise(self):
+        # float math raises where numpy returns inf or nan (x ** 2, exp, cosh,
+        # log1p(-1), 0 / 0); integrator stages do reach such states, so the
+        # field must return there, row by row and batched alike
+        data = blowup_construction(3.0)
+        inf, nan = np.inf, np.nan
+        wild = [(a, b) for a in (inf, -inf, nan, 1e300, -1e300, 0.0)
+                for b in (inf, -inf, nan, 1e300, -1e300, 0.5)]
+        # the seam z1 = -1, and x1 + c -> 0- at the edge of W's bump
+        edges = [(-1.0, 0.5), (-1.0 + 1e-16, 0.5), (-1.0 + 1e-16, -1e300)]
+        edges += [(np.expm1(-3.0 - 1e-15 * k), 0.25) for k in (0, 1, 4, 16)]
+        zs = np.array(wild + edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (data.V, data.vdot_along_F, data.h, data.F2):
+                batch = fn(zs)
+                assert batch.shape == zs.shape[:1] + np.shape(fn(zs[0]))
+                for z, want in zip(zs, batch):
+                    np.testing.assert_array_equal(fn(z), want)
+                assert np.all(np.isfinite(batch[len(wild):]))
+        # the bump vanishes as x1 + c -> 0-: V is continuous there
+        np.testing.assert_allclose(data.V(zs[-3:]), data.V(zs[-4]), rtol=1e-12)
+
+    def test_overflowing_field_reports_an_escape(self):
+        # one RK4 step of 0.1 from deep in the escape half-plane takes a stage
+        # past float range; the field returns a non-finite row there, which
+        # the flow turns into an escape
+        data = blowup_construction(3.0)
+        non_finite = []
+
+        def rhs(z, _d):
+            f = data.F2(z)
+            non_finite.append(not np.isfinite(f).all())
+            return f
+
+        model = SystemModel("blowup", 2, DisturbanceSet.interval(0.0, 0.0), rhs=rhs)
+        traj = flow(model, 12.0, [-4.0, -2.0], step=0.1)
+        assert any(non_finite) and traj.escaped is not None
 
     def test_rate_matches_central_difference_of_v(self):
         # vdot_along_F is the derivative of V along F: a central difference

@@ -77,6 +77,15 @@ class TestFourWayClassification:
         assert classify_rfc(lin, budget=4, seed=0).verdict == "consistent"
         assert classify_rep(lin, budget=4, seed=0).verdict == "consistent"
 
+    @pytest.mark.parametrize("lo", [2.0, 0.0])
+    def test_rfc_probes_a_bounded_set_up_to_its_bound(self, lo):
+        # x' = d x on D = [lo, 5]: the corner d = 5 gives mu(2, 2) = 2 e^10
+        model = SystemModel("growth", 1, DisturbanceSet.interval(lo, 5.0),
+                            rhs=lambda x, d: d * x)
+        report = classify_rfc(model, budget=2, seed=0)
+        assert report.verdict == "consistent"
+        assert report.tables["mu"][-1][-1] == pytest.approx(2.0 * np.exp(10.0), rel=1e-4)
+
     def test_rep_requires_equilibrium(self):
         shifted = SystemModel("affine", 1, DisturbanceSet.interval(-1, 1),
                               rhs=lambda x, d: -x + 1.0)

@@ -118,6 +118,26 @@ class TestDisturbanceSet:
         assert 0.0 in unit and 1 in unit and 1.5 not in unit and "a" not in unit
         assert -1e300 in DisturbanceSet.real_line()
 
+    @pytest.mark.parametrize("lo, hi", [(2.0, 5.0), (0.0, 5.0)])
+    def test_bounded_interval_is_probed_over_itself(self, lo, hi):
+        # finite bounds are never clipped: the sweep magnitude only stands in
+        # for an infinite bound
+        dset = DisturbanceSet.interval(lo, hi)
+        model = SystemModel("growth", 1, dset, rhs=lambda x, d: d * x)
+        for magnitude in (1.0, 16.0):
+            assert dset.corner_values(magnitude) == [lo, hi]
+            sigs = dset.probe_signals(np.random.default_rng(0), 1.0, 6, magnitude=magnitude)
+            assert all(v in dset for s in sigs for v in s.values)
+        assert model.default_signal().values[0] in dset
+
+    def test_half_infinite_interval_window(self):
+        dset = DisturbanceSet.interval(2.0, np.inf)
+        assert dset.corner_values(4.0) == [2.0, 4.0]
+        with pytest.raises(ValueError, match=r"D = \[2.0, inf\].*magnitude 1.0"):
+            dset.corner_values(1.0)
+        model = SystemModel("growth", 1, dset, rhs=lambda x, d: d * x)
+        assert model.default_signal().values == (2.0,)
+
 
 class TestFlow:
     def test_closed_form_decay(self):
