@@ -22,7 +22,7 @@ import numpy as np
 
 from .comparison import (KLSurface, TabulatedMonotone, gk_threshold, invert_table,
                          lipschitz_minorant, sontag_factorize)
-from .systems import _completed, _csv, _unit_direction, flow, flow_batch, sub_rng
+from .systems import _completed, _csv, _unit_direction, flow_batch, sub_rng
 
 __all__ = [
     "ConverseConfig",
@@ -111,16 +111,18 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
         raise ValueError("R and tau must be positive")
     rng = sub_rng(seed, 61)
     signals = model.disturbance_set.probe_signals(rng, tau, budget, magnitude=magnitude)
+    msg = "escape during Lipschitz estimation: flow is not complete on the ball"
     if model.propagator is not None and model.dim <= 8:
         # linear evolution in small dimension: flow the canonical basis and
         # take exact operator norms at every sample time, which dominates
-        # any pair-sampled ratio
+        # any pair-sampled ratio; one call flows the basis under every signal
+        dim = model.dim
+        rows = flow_batch(model, tau, np.tile(np.eye(dim), (len(signals), 1)),
+                          [d for d in signals for _ in range(dim)], step=step)
+        cols = [_completed(tr, msg) for tr in rows]
         best = 1.0
-        basis = np.eye(model.dim)
-        for d in signals:
-            cols = [_completed(tr, "escape during Lipschitz estimation")
-                    for tr in flow_batch(model, tau, basis, d, step=step)]
-            mats = np.stack([tr.states for tr in cols], axis=-1)  # (n_times, dim, dim)
+        for i in range(0, len(cols), dim):
+            mats = np.stack([tr.states for tr in cols[i:i + dim]], axis=-1)  # (n_times, dim, dim)
             best = max(best, float(np.linalg.norm(mats, ord=2, axis=(1, 2)).max()))
         return best
     pairs = []
@@ -131,11 +133,12 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
         pairs.append((x, _unit_direction(rng, model.dim) * R * rng.uniform(0.2, 1.0)))
     gaps = [float(np.linalg.norm(x - y)) for x, y in pairs]
     pairs = [(x, y, gap) for (x, y), gap in zip(pairs, gaps) if gap != 0.0]
+    # rows alternate x, y, so each pair's two trajectories come together, and
+    # one call flows them under every signal in turn
+    X = [z for x, y, _ in pairs for z in (x, y)]
+    rows = flow_batch(model, tau, X * len(signals), [d for d in signals for _ in X], step=step)
     best = 0.0
-    msg = "escape during Lipschitz estimation: flow is not complete on the ball"
-    for d in signals:
-        # rows alternate x, y, so each pair's two trajectories come together
-        rows = flow_batch(model, tau, [z for x, y, _ in pairs for z in (x, y)], d, step=step)
+    for _ in signals:
         for (_, _, gap), tx, ty in zip(pairs, rows, rows):
             diffs = np.linalg.norm(_completed(tx, msg).states - _completed(ty, msg).states, axis=1)
             best = max(best, float(diffs.max()) / gap)
@@ -173,27 +176,12 @@ class VkEvaluator:
         return T
 
     def __call__(self, x, step=None):
-        model = self.model
-        x = model.state(x)
-        R = model.norm(x)
-        if R == 0.0:
-            return 0.0
-        T = self.horizon(R)
-        if T <= 0.0:
-            return 0.0
-        step = step or self.config.quadrature_step
-        cfg = self.config
-        best = 0.0
-        for d in self._signals:
-            traj = _completed(flow(model, T, x, d, step=step),
-                              "escape during the construction horizon refutes the UGAS premise")
-            g = gk_threshold(self.k, cfg.rho(traj.norms))
-            if self.kind == "integral":
-                val = float(np.trapezoid(g, traj.times))
-            else:
-                val = float(np.max(np.exp(cfg.eta * traj.times) * g))
-            best = max(best, val)
-        return best
+        return self.values([x], step)[0]
+
+    def values(self, X, step=None):
+        """V_k at each state of X: one ``flow_batch`` call over every (state,
+        signal) row, each row flowed to its own state's horizon."""
+        return _member_values((self,), X, step)[0]
 
     def value_checked(self, x):
         """Value plus a quadrature flag: halving the step must move it by less
@@ -202,6 +190,41 @@ class VkEvaluator:
         v2 = self(x, step=self.config.quadrature_step / 2)
         flagged = abs(v2 - v1) > 1e-4 * max(abs(v1), 1e-12)
         return v2, flagged
+
+    def _value(self, traj):
+        """This member's value along one completed trajectory: G_k(rho(norm))
+        integrated (trapezoid) or maximized with e^{eta s} over its own times."""
+        cfg = self.config
+        g = gk_threshold(self.k, cfg.rho(traj.norms))
+        if self.kind == "integral":
+            return float(np.trapezoid(g, traj.times))
+        return float(np.max(np.exp(cfg.eta * traj.times) * g))
+
+
+def _member_values(members, X, step=None):
+    """The values of each member (sharing one model and config) at each state
+    of X: one ``flow_batch`` call over every (member, state, signal) row, each
+    flowed to its member's horizon at its state.  A state of norm 0, or of
+    horizon 0, has value 0."""
+    model, cfg = members[0].model, members[0].config
+    X = [model.state(x) for x in X]
+    norms = [model.norm(x) for x in X]
+    values = [[0.0] * len(X) for _ in members]
+    slots, rows, ts, ds = [], [], [], []
+    for e, vk in enumerate(members):
+        for i, (x, R) in enumerate(zip(X, norms)):
+            T = vk.horizon(R) if R != 0.0 else 0.0
+            if T > 0.0:
+                slots += [(e, i)] * len(vk._signals)
+                rows += [x] * len(vk._signals)
+                ts += [T] * len(vk._signals)
+                ds += vk._signals
+    if rows:
+        msg = "escape during the construction horizon refutes the UGAS premise"
+        trajs = flow_batch(model, ts, rows, ds, step=step or cfg.quadrature_step)
+        for (e, i), traj in zip(slots, trajs):
+            values[e][i] = max(values[e][i], members[e]._value(_completed(traj, msg)))
+    return values
 
 
 def construct_vk_integral(model, k, config):
@@ -236,7 +259,12 @@ class ConstructedLyapunov:
     metadata: dict = field(default_factory=dict)
 
     def __call__(self, x):
-        return float(sum(w * vk(x) for w, vk in zip(self.weights, self.evaluators)))
+        return self.values([x])[0]
+
+    def values(self, X):
+        """W at each state of X, all members and states in one ``flow_batch`` call."""
+        members = _member_values(self.evaluators, X)
+        return [float(sum(w * v for w, v in zip(self.weights, vals))) for vals in zip(*members)]
 
     def psi1(self, r):
         r = np.asarray(r, dtype=float)
@@ -249,8 +277,9 @@ class ConstructedLyapunov:
     def export_csv(self, state_grid):
         """Sampled W over a user-supplied state grid."""
         dim = self.evaluators[0].model.dim
-        xs = (np.atleast_1d(np.asarray(x, dtype=float)) for x in state_grid)
-        return _csv([*(f"x_{i+1}" for i in range(dim)), "W"], ((*x, self(x)) for x in xs))
+        xs = [np.atleast_1d(np.asarray(x, dtype=float)) for x in state_grid]
+        return _csv([*(f"x_{i+1}" for i in range(dim)), "W"],
+                    ((*x, w) for x, w in zip(xs, self.values(xs))))
 
     def export_metadata(self):
         return json.dumps(

@@ -235,8 +235,7 @@ def classify_rfc(model, C_grid=(0.25, 0.5, 1.0, 2.0), tau_grid=(0.0, 0.5, 1.0, 2
     (to at least ten times the largest C); consistent when all cells
     stabilize below 1e6.
     """
-    if model.disturbance_set.bounded:
-        magnitudes = (1.0,)
+    magnitudes = model.disturbance_set.sweep(magnitudes)
     prev = None
     for mag in magnitudes:
         cells, wits = _mu_scan(model, C_grid, tau_grid, budget, seed=seed,
@@ -280,13 +279,14 @@ def classify_rfc(model, C_grid=(0.25, 0.5, 1.0, 2.0), tau_grid=(0.0, 0.5, 1.0, 2
 # robust equilibrium point
 # ---------------------------------------------------------------------------
 
-def _check_equilibrium(model):
-    """Reject a vector field that does not vanish at 0 (a propagator model
-    is linear, so 0 is always its equilibrium)."""
+def _check_equilibrium(model, magnitude):
+    """Reject a vector field that does not vanish at 0 under the corner values
+    at the magnitude (a propagator model is linear, so 0 is always its
+    equilibrium)."""
     if model.rhs is None:
         return
     zero = np.zeros((1, model.dim))
-    for v in model.disturbance_set.corner_values(1.0):
+    for v in model.disturbance_set.corner_values(magnitude):
         r = np.linalg.norm(model.rhs(zero, v))
         if not (r <= 1e-9):  # also rejects non-finite residuals
             raise ValueError("model does not keep 0 an equilibrium")
@@ -304,9 +304,8 @@ def classify_rep(model, h_grid=(0.5,), eps_grid=(0.5,), budget=4, *,
     and at most a quarter of the first) instead of stabilizing; each
     refutation carries an exceedance witness.
     """
-    _check_equilibrium(model)
-    if model.disturbance_set.bounded:
-        magnitudes = (1.0,)
+    magnitudes = model.disturbance_set.sweep(magnitudes)
+    _check_equilibrium(model, magnitudes[0])
     eps_delta = {}
     for eps in eps_grid:
         for h in h_grid:

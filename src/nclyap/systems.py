@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -241,16 +241,40 @@ class DisturbanceSet:
             return True
         return bool(np.isfinite(self.lo) and np.isfinite(self.hi))
 
+    def _window(self, magnitude):
+        return (-magnitude if self.lo == -math.inf else self.lo,
+                magnitude if self.hi == math.inf else self.hi)
+
     def clipped(self, magnitude):
         """The bounds probed at a sweep magnitude: lo and hi, an infinite one
         replaced by -magnitude or magnitude.  A half-infinite D whose finite
         end lies beyond the magnitude leaves nothing to probe."""
-        lo = -magnitude if self.lo == -math.inf else self.lo
-        hi = magnitude if self.hi == math.inf else self.hi
+        lo, hi = self._window(magnitude)
         if not lo <= hi:
             raise ValueError(f"D = [{self.lo!r}, {self.hi!r}] has no value within "
                              f"magnitude {magnitude!r}")
         return lo, hi
+
+    def sweep(self, magnitudes):
+        """The magnitudes of a probe's sweep: 1.0 alone for a bounded D, which
+        is probed whole; else ``magnitudes`` in order and without repeats,
+        where one whose window is empty, below the finite end of a
+        half-infinite D, gives way to that end's magnitude."""
+        if self.bounded:
+            return (1.0,)
+        swept = []
+        for m in magnitudes:
+            lo, hi = self._window(m)
+            if not lo <= hi:
+                m = abs(self.hi if self.hi != math.inf else self.lo)
+                if not math.isfinite(m):
+                    continue
+            if m not in swept:
+                swept.append(m)
+        if not swept:
+            raise ValueError(f"D = [{self.lo!r}, {self.hi!r}] has no value within any "
+                             f"of the magnitudes {tuple(magnitudes)!r}")
+        return tuple(swept)
 
     def corner_values(self, magnitude=1.0):
         if self.kind == "finite":
@@ -384,76 +408,192 @@ def flow(model, t, x, d=None, step=1e-3):
 def flow_batch(model, t, X, d=None, step=1e-3):
     """Simulate the model from each row of X over [0, t] under the signal d.
 
+    ``t`` is one horizon or a sequence of one per row, and ``d`` one signal
+    or a sequence of one per row (None: the model's default signal).
     Vector-field models use fixed-step classical RK4, split exactly at the
     signal's breakpoints so the integrator only ever reads d on [0, t].
     Propagator models apply the exact evolution operator, built once per
-    distinct (d value, step) pair of the node grid and kept for one chunk of
-    rows.  Each node advances all rows still alive by one step.  A row
-    whose norm passes ``EXPLOSION_THRESHOLD`` (1e12) or goes non-finite leaves the
-    batch, and ``escaped`` brackets its escape time; non-finite states are
-    never returned.  Rows never mix, so each trajectory is the flow of its
-    row alone.  Yields one ``Trajectory`` per row, integrating a chunk of at
+    distinct (d value, step) pair and kept for one chunk of rows.  Each row
+    keeps the nodes of its own flow: rows whose signals share their
+    breakpoints share one node grid, up to the longest of their horizons,
+    and a row whose horizon ends inside a piece takes its own shortened last
+    step there and retires.  Within a piece the rows of one signal value
+    advance together, one step per node.  A row whose norm passes
+    ``EXPLOSION_THRESHOLD`` (1e12) or goes non-finite leaves the batch, and
+    ``escaped`` brackets its escape time; non-finite states are never
+    returned.  Rows never mix, so each trajectory is the flow of its row
+    alone.  Yields one ``Trajectory`` per row, integrating a chunk of at
     most ``_CHUNK_BYTES`` of states when its first row is asked for.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"horizon t must be finite and nonnegative, got {t!r}")
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step!r}")
     X = _states(model, X)
-    if d is None:
-        d = model.default_signal()
-    edges = [0.0] + d.switch_times(0.0, t) + [t] if t > 0 else []
-    times, dvals = [0.0], []  # dvals[k]: the signal's value from node k to k + 1
+    ts = [t] * len(X) if np.ndim(t) == 0 else list(t)
+    ds = [d] * len(X) if d is None or isinstance(d, DisturbanceSignal) else list(d)
+    if len(ts) != len(X) or len(ds) != len(X):
+        raise ValueError(f"need one horizon and one signal per row, got {len(ts)} "
+                         f"and {len(ds)} for {len(X)} rows")
+    for h in ts:
+        if not 0 <= h < math.inf:
+            raise ValueError(f"horizon t must be finite and nonnegative, got {h!r}")
+    ts = [float(h) for h in ts]
+    if any(s is None for s in ds):
+        default = model.default_signal()
+        ds = [default if s is None else s for s in ds]
+    # one node grid per breakpoint tuple, to the longest horizon among its
+    # rows; n[b] is the index of row b's last node, at its own horizon
+    grids, n = {}, [0] * len(X)
+    for bps, rows in _by_breakpoints(ds, range(len(X))).items():
+        _, _, starts = grids[bps] = _grid(bps, max(ts[b] for b in rows), step)
+        for b in rows:
+            if ts[b] > 0:
+                p = bisect_left(bps, ts[b]) - 1  # the piece that holds the horizon
+                n[b] = starts[p] + _full_steps(bps[p], ts[b], step) + 1
+    chunk = max(1, _CHUNK_BYTES // (8 * (max(n) + 1) * model.dim))
+    return (traj for lo in range(0, len(X), chunk)
+            for traj in _integrate(model, grids, X[lo:lo + chunk], ts[lo:lo + chunk],
+                                   ds[lo:lo + chunk], n[lo:lo + chunk]))
+
+
+def _by_breakpoints(ds, rows):
+    """The rows grouped by their signals' breakpoints, in order of first appearance."""
+    groups = {}
+    for b in rows:
+        groups.setdefault(ds[b].breakpoints, []).append(b)
+    return groups
+
+
+def _full_steps(t0, t1, step):
+    """The number of full steps in the piece (t0, t1]: the nodes t0 + i step,
+    the last one dropped when it lands within 1e-12 of t1, where the shortened
+    step to t1 ends the piece."""
+    count = math.floor((t1 - t0) / step + 1e-12)
+    if count and t0 + count * step >= t1 - 1e-12 * max(1.0, abs(t1)):
+        count -= 1
+    return count
+
+
+def _grid(bps, horizon, step):
+    """The nodes of a flow to the horizon under signals with the breakpoints:
+    their times, the steps between them as floats, and the index in the
+    times where each piece starts."""
+    times, starts = [0.0], []
+    edges = [0.0, *(b for b in bps if 0.0 < b < horizon), horizon] if horizon > 0 else []
     for t0, t1 in zip(edges, edges[1:]):
-        # fixed-step nodes covering (t0, t1], last step shortened to land on t1
-        n_full = int(np.floor((t1 - t0) / step + 1e-12))
-        nodes = [t0 + i * step for i in range(1, n_full + 1)]
-        if nodes and nodes[-1] >= t1 - 1e-12 * max(1.0, abs(t1)):
-            nodes.pop()
-        times += nodes + [t1]
-        dvals += [d.value_at(t0)] * (len(nodes) + 1)
+        starts.append(len(times) - 1)
+        times += [t0 + i * step for i in range(1, _full_steps(t0, t1, step) + 1)] + [t1]
     times = np.array(times)
-    rows = max(1, _CHUNK_BYTES // (8 * times.size * model.dim))
-    return (traj for lo in range(0, len(X), rows)
-            for traj in _integrate(model, times, dvals, X[lo:lo + rows], d))
+    return times, np.diff(times).tolist(), starts
 
 
-def _integrate(model, times, dvals, X, d):
-    states = np.empty((len(X), times.size, model.dim))
-    last = np.full(len(X), times.size - 1)  # index of each row's last state
-    alive = slice(None)  # every row, until the first escape
-    cur = states[:, 0] = X
-    f = model.rhs
-    # one step map per (d value, step), kept for this chunk: the steps of a
-    # node grid differ in their last bits, so a flow builds about ten maps
-    propagator = None if model.propagator is None else cache(model.propagator)
+def _integrate(model, grids, X, ts, ds, n):
+    states = np.empty((len(X), max(n) + 1, model.dim))
+    states[:, 0] = X
+    last = list(n)  # index of each row's last state
+    ends = {}  # escaped row -> the end of the step it did not survive
+    if model.propagator is None:
+        f = model.rhs
+
+        def step_map(v, h):
+            def rk4(x):
+                k1 = f(x, v)
+                k2 = f(x + 0.5 * h * k1, v)
+                k3 = f(x + 0.5 * h * k2, v)
+                k4 = f(x + h * k3, v)
+                return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            return rk4
+    else:
+        # one step map per (d value, step), kept for this chunk: the steps of
+        # a node grid differ in their last bits, so a flow builds about ten maps
+        step_map = cache(model.propagator)
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, (dval, h) in enumerate(zip(dvals, np.diff(times).tolist()), 1):
-            if propagator is not None:
-                nxt = propagator(dval, h)(cur)
-            else:
-                k1 = f(cur, dval)
-                k2 = f(cur + 0.5 * h * k1, dval)
-                k3 = f(cur + 0.5 * h * k2, dval)
-                k4 = f(cur + h * k3, dval)
-                nxt = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            # C order, so that the norms round as math.sqrt(x.dot(x)) does
-            nxt = np.ascontiguousarray(nxt, dtype=float)
-            sq = np.vecdot(nxt, nxt)
-            # sqrt is monotone, and a NaN or inf row fails the comparison
-            if not math.sqrt(sq.max()) <= EXPLOSION_THRESHOLD:
-                ok = np.sqrt(sq) <= EXPLOSION_THRESHOLD
-                alive = np.arange(len(X))[alive]
-                last[alive[~ok]] = k - 1
-                alive, nxt = alive[ok], nxt[ok]
-                if not alive.size:
+        for bps, rows in _by_breakpoints(ds, range(len(X))).items():
+            _, steps, starts = grid = grids[bps]
+            rows.sort(key=lambda b: -n[b])  # stable: equal horizons keep their order
+            for p, k0 in enumerate(starts):
+                rows = [b for b in rows if last[b] > k0]
+                if not rows:
                     break
-            states[alive, k] = nxt
-            cur = nxt
+                k1 = starts[p + 1] if p + 1 < len(starts) else len(steps)
+                classes = {}
+                for b in rows:
+                    classes.setdefault(ds[b].values[p], []).append(b)
+                for v, cls in classes.items():
+                    _advance(step_map, v, cls, k0, k1, grid, X, states, ts, n, last, ends)
     for b, j in enumerate(last):
-        escaped = None if j == times.size - 1 else (float(times[j]), float(times[j + 1]))
+        # a row's nodes are its grid's up to its last step, which ends at its horizon
+        times = grids[ds[b].breakpoints][0][:j + 1]
+        escaped = (float(times[j]), ends[b]) if j < n[b] else None
+        if escaped is None and times[j] != ts[b]:
+            times = np.append(times[:j], ts[b])
         S = states[b, :j + 1]
-        yield Trajectory(times[:j + 1], S, np.sqrt(np.vecdot(S, S)), d, escaped)
+        yield Trajectory(times, S, np.sqrt(np.vecdot(S, S)), ds[b], escaped)
+
+
+# no row of a batch whose squares sum to less than this passes
+# EXPLOSION_THRESHOLD, whatever the rounding of that sum
+_SAFE_SQUARES = 0.5 * EXPLOSION_THRESHOLD**2
+
+
+def _advance(step_map, v, rows, k0, k1, grid, X, states, ts, n, last, ends):
+    """Step the rows of one signal value, longest horizon first, from node k0
+    to node k1.  A row stops early at its own last node, or at its last
+    finite one when it escapes."""
+    times, steps, _ = grid
+    dst, retire = _index(rows), n[rows[-1]]
+    # at node 0 the rows start from X itself, where a slice of rows is no copy
+    cur = X[dst] if k0 == 0 else states[rows, k0]
+    for k in range(k0 + 1, k1 + 1):
+        if k < retire:
+            nxt = step_map(v, steps[k - 1])(cur)
+        else:
+            # the rows whose horizon ends here take their own last step to it
+            go = _going(rows, n, k)
+            nxt = np.empty_like(cur)
+            if go:
+                nxt[:go] = step_map(v, steps[k - 1])(cur[:go])
+            own = {}
+            for j in range(go, len(rows)):
+                own.setdefault(ts[rows[j]] - float(times[k - 1]), []).append(j)
+            for h, js in own.items():
+                nxt[js] = step_map(v, h)(cur[js])
+        # C order, so that the norms round as math.sqrt(x.dot(x)) does
+        nxt = np.ascontiguousarray(nxt, dtype=float)
+        flat = nxt.ravel()
+        # a NaN or inf fails the comparison, and then each row is checked
+        if not flat.dot(flat) <= _SAFE_SQUARES:
+            ok = np.sqrt(np.vecdot(nxt, nxt)) <= EXPLOSION_THRESHOLD
+            for j in np.flatnonzero(~ok):
+                b = rows[j]
+                last[b] = k - 1
+                ends[b] = float(times[k]) if n[b] > k else ts[b]
+            rows = [b for b, keep in zip(rows, ok) if keep]
+            if not rows:
+                return
+            nxt, dst, retire = nxt[ok], _index(rows), n[rows[-1]]
+        states[dst, k] = nxt
+        if k == retire:
+            go = _going(rows, n, k)
+            if not go:
+                return
+            rows, nxt = rows[:go], nxt[:go]
+            dst, retire = _index(rows), n[rows[-1]]
+        cur = nxt
+
+
+def _going(rows, n, k):
+    """How many of the rows, longest horizon first, go on past node k."""
+    go = len(rows)
+    while go and n[rows[go - 1]] == k:
+        go -= 1
+    return go
+
+
+def _index(rows):
+    """The row indices as a slice when they are consecutive and ascending."""
+    lo = rows[0]
+    return slice(lo, lo + len(rows)) if rows == list(range(lo, lo + len(rows))) else np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -513,19 +653,19 @@ def check_axioms(model, sample_budget=10, *, seed=0, step=1e-3,
         d = dset.sample_signal(rng, t + h, pieces=4, magnitude=magnitude)
         d_other = dset.sample_signal(rng, t + h, pieces=4, magnitude=magnitude)
 
-        direct = flow(model, t + h, x, d, step=step)
+        # the direct flow, the identity phi(0, x, d), the flow under a signal
+        # that agrees with d on [0, t+h] only, and the cocycle's first leg
+        direct, tr0, again, first = flow_batch(
+            model, [t + h, 0.0, t + h, t], [x] * 4, [d, d, d.concat(d_other, t + h), d],
+            step=step)
         if direct.escaped is not None:
             escaped += 1
             continue
         # identity: phi(0, x, d) == x, bit-level
-        tr0 = flow(model, 0.0, x, d, step=step)
         id_max = max(id_max, float(np.max(np.abs(tr0.final_state - x), initial=0.0)))
         # causality: signals agreeing on [0, t+h] give identical flows
-        d_tilde = d.concat(d_other, t + h)
-        again = flow(model, t + h, x, d_tilde, step=step)
         ca_max = max(ca_max, float(np.max(np.abs(again.final_state - direct.final_state))))
         # cocycle: phi(h, phi(t, x, d), d(t+.)) == phi(t+h, x, d)
-        first = flow(model, t, x, d, step=step)
         if first.escaped is not None:
             escaped += 1
             continue

@@ -206,10 +206,12 @@ def test_criterion_6_converse_on_switched_pair():
     rng = np.random.default_rng(1)
     bound_ok = True
     pos_ok = True
+    states = []
     for _ in range(200):
         u = rng.normal(size=2)
-        x = u / np.linalg.norm(u) * rng.uniform(0.05, R)
-        val = vk(x)
+        states.append(u / np.linalg.norm(u) * rng.uniform(0.05, R))
+    # all 200 states in one batch; each value is that of vk(x) bit for bit
+    for x, val in zip(states, vk.values(states)):
         if val > cfg.alpha1(np.linalg.norm(x)) + 1e-3:
             bound_ok = False
         if np.linalg.norm(x) > clamp and val <= 0.0:
@@ -218,18 +220,11 @@ def test_criterion_6_converse_on_switched_pair():
     L = estimate_flow_lipschitz(sw.system, R, T, budget=10, seed=3, step=2e-3)
     M = T * L
     lip_ok = True
-    cache = {}
-
-    def vk_cached(pt):
-        key = pt.tobytes()
-        if key not in cache:
-            cache[key] = vk(pt)
-        return cache[key]
-
     pts = []
     for _ in range(120):
         u = rng.normal(size=2)
         pts.append(u / np.linalg.norm(u) * rng.uniform(0.05, R))
+    pt_values = vk.values(pts)
     count = 0
     worst = 0.0
     for i in range(len(pts)):
@@ -237,7 +232,7 @@ def test_criterion_6_converse_on_switched_pair():
             if count >= 500:
                 break
             x, y = pts[i], pts[j]
-            lhs = abs(vk_cached(x) - vk_cached(y))
+            lhs = abs(pt_values[i] - pt_values[j])
             rhs = M * np.linalg.norm(x - y) * 1.01 + 1e-9
             worst = max(worst, lhs / rhs)
             if lhs > rhs:

@@ -115,12 +115,13 @@ class TestVkIntegral:
         import nclyap.converse as converse
 
         seen = []
+        flow_batch = converse.flow_batch
 
-        def recording_flow(model, t, x, d=None, **kw):
-            seen.append(d)
-            return flow(model, t, x, d, **kw)
+        def recording_flow_batch(model, t, X, d=None, **kw):
+            seen.extend(d)
+            return flow_batch(model, t, X, d, **kw)
 
-        monkeypatch.setattr(converse, "flow", recording_flow)
+        monkeypatch.setattr(converse, "flow_batch", recording_flow_batch)
         sw = build_switched_linear([[[-1.0, 0.0], [0.0, -2.0]], [[-1.5, 0.5], [0.0, -0.8]]])
         vk = construct_vk_integral(sw.system, 2, identity_config(disturbance_budget=4))
         x = np.array([0.6, 0.3])
@@ -274,10 +275,13 @@ class TestSwitchedConverse:
         L = estimate_flow_lipschitz(sw.system, R, T, budget=10, seed=3, step=2e-3)
         M = T * L
         rng = np.random.default_rng(2)
+        pairs = []
         for _ in range(60):
             u = rng.normal(size=2)
             v = rng.normal(size=2)
-            x = u / np.linalg.norm(u) * rng.uniform(0.1, R)
-            y = v / np.linalg.norm(v) * rng.uniform(0.1, R)
-            lhs = abs(vk(x) - vk(y))
-            assert lhs <= M * np.linalg.norm(x - y) * 1.01 + 1e-9
+            pairs.append((u / np.linalg.norm(u) * rng.uniform(0.1, R),
+                          v / np.linalg.norm(v) * rng.uniform(0.1, R)))
+        # every state in one batch; each value is that of vk(x) bit for bit
+        values = vk.values([z for pair in pairs for z in pair])
+        for (x, y), vx, vy in zip(pairs, values[::2], values[1::2]):
+            assert abs(vx - vy) <= M * np.linalg.norm(x - y) * 1.01 + 1e-9

@@ -86,6 +86,30 @@ class TestFourWayClassification:
         assert report.verdict == "consistent"
         assert report.tables["mu"][-1][-1] == pytest.approx(2.0 * np.exp(10.0), rel=1e-4)
 
+    def test_half_infinite_set_beyond_unit_magnitude_is_swept_from_its_end(self):
+        # x' = -d x on D = [2, inf): at magnitude 1 the window [2, 1] is
+        # empty, so the sweep starts at the finite end, d = 2
+        model = SystemModel("decay", 1, DisturbanceSet.interval(2.0, np.inf),
+                            rhs=lambda x, d: -d * x)
+        rfc = classify_rfc(model, budget=2, seed=0)
+        assert rfc.verdict == "consistent"
+        assert rfc.tables["magnitudes"] == [2.0, 4.0, 16.0, 64.0]
+        rep = classify_rep(model, budget=2, seed=0)
+        assert rep.verdict == "consistent"
+        assert list(rep.tables["eps_delta"]["eps=0.5,h=0.5"]) == ["2.0", "10.0", "100.0", "1000.0"]
+        # the equilibrium is checked at the first sweep magnitude, not at 1
+        rep = classify_rep(model, budget=2, seed=0, magnitudes=(4.0, 16.0))
+        assert list(rep.tables["eps_delta"]["eps=0.5,h=0.5"]) == ["4.0", "16.0"]
+
+    def test_sweep_of_an_interval(self):
+        assert DisturbanceSet.interval(2.0, np.inf).sweep((1.0, 1.5, 4.0)) == (2.0, 4.0)
+        assert DisturbanceSet.interval(-np.inf, -3.0).sweep((1.0, 8.0)) == (3.0, 8.0)
+        assert DisturbanceSet.real_line().sweep((1.0, 4.0, 1.0)) == (1.0, 4.0)
+        with pytest.raises(ValueError, match="no value within any of the magnitudes"):
+            DisturbanceSet.real_line().sweep((-1.0,))
+        with pytest.raises(ValueError, match="no value within any of the magnitudes"):
+            DisturbanceSet.interval(2.0, np.inf).sweep(())
+
     def test_rep_requires_equilibrium(self):
         shifted = SystemModel("affine", 1, DisturbanceSet.interval(-1, 1),
                               rhs=lambda x, d: -x + 1.0)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nclyap import systems
-from nclyap.models import build_blowup_example, build_linear, build_scalar_example
+from nclyap.models import (build_blowup_example, build_linear, build_scalar_example,
+                           build_switched_linear, build_ugatt_example)
 from nclyap.systems import (
     DisturbanceSet,
     DisturbanceSignal,
@@ -16,7 +17,7 @@ from nclyap.systems import (
     flow_batch,
 )
 
-from test_acceptance import zoo_entries
+from test_acceptance import STABLE_PAIR, zoo_entries
 
 
 def decaying_model():
@@ -251,6 +252,16 @@ class TestFlowBatch:
             for traj, want in zip(flow_batch(model, 1.0, X, d, step=1e-2), solo):
                 assert_same_trajectory(traj, want)
 
+    def test_bad_per_row_input_raises(self):
+        model = build_linear([[-1.0]])
+        X = [[1.0], [2.0]]
+        with pytest.raises(ValueError, match="one horizon and one signal per row"):
+            flow_batch(model, [1.0], X)
+        with pytest.raises(ValueError, match="one horizon and one signal per row"):
+            flow_batch(model, 1.0, X, [model.default_signal()] * 3)
+        with pytest.raises(ValueError, match="horizon t"):
+            flow_batch(model, [1.0, -0.5], X)
+
     def test_bad_input_raises(self):
         model = build_linear([[-1.0, 0.0], [0.0, -2.0]])
         for bad, match in (
@@ -264,6 +275,85 @@ class TestFlowBatch:
         ):
             with pytest.raises(ValueError, match=match):
                 flow_batch(model, 1.0, bad)
+
+
+# models for the mixed-row property: vector fields (one with escapes beside
+# completed rows) and propagators, each with per-row signal values that matter
+MIXED_MODELS = {
+    "ugatt": (build_ugatt_example(), 2.0),
+    "scalar-ii": (build_scalar_example("ii"), 4.0),
+    "cubic": (SystemModel("cubic", 1, DisturbanceSet.interval(-1.0, 1.0),
+                          rhs=lambda x, d: x**3 + d * x), 1.0),
+    "switched": (build_switched_linear(STABLE_PAIR).system, 1.0),
+    "linear": (build_linear([[-0.5, 1.0], [0.0, -1.5]]), 1.0),
+}
+
+
+@st.composite
+def mixed_rows(draw):
+    """A model, a step and rows with their own start, horizon and signal:
+    corner constants and random signals on two breakpoint grids, and
+    horizons at 0, on a breakpoint or node, within 1e-12 of one, or anywhere."""
+    name = draw(st.sampled_from(sorted(MIXED_MODELS)))
+    model, magnitude = MIXED_MODELS[name]
+    step = draw(st.sampled_from([0.05, 0.03, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dset = model.disturbance_set
+    signals = [DisturbanceSignal.constant(v) for v in dset.corner_values(magnitude)]
+    for span in (0.6, 1.0):
+        signals += [dset.sample_signal(rng, span, pieces=4, magnitude=magnitude)
+                    for _ in range(3)]
+    count = draw(st.integers(1, 9))
+    rows = []
+    for _ in range(count):
+        d = signals[draw(st.integers(0, len(signals) - 1))]
+        edge = draw(st.sampled_from(d.breakpoints[1:] or (0.5,)))
+        node = edge + draw(st.integers(1, 4)) * step
+        t = draw(st.sampled_from([
+            0.0, edge, edge + 1e-13, edge - 1e-13, node, node + 5e-13, node - 5e-13,
+            float(rng.uniform(0.0, 1.2))]))
+        x = rng.normal(size=model.dim) * draw(st.sampled_from([0.05, 1.0, 3.0]))
+        rows.append((x, max(t, 0.0), d))
+    return name, model, step, rows
+
+
+@given(mixed_rows(), st.sampled_from([None, 1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_mixed_rows_equal_solo_flows(case, chunk_rows):
+    # each row of one call with per-row horizons and signals keeps the nodes,
+    # steps and values of its own one-row flow, bit for bit, whatever chunks
+    # the batch is cut into
+    name, model, step, rows = case
+    X = [x for x, _, _ in rows]
+    solo = [flow(model, t, x, d, step=step) for x, t, d in rows]
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_rows is not None:
+            nodes = max(len(tr.times) for tr in solo)
+            mp.setattr(systems, "_CHUNK_BYTES", chunk_rows * 8 * nodes * model.dim)
+        batch = list(flow_batch(model, [t for _, t, _ in rows], X, [d for _, _, d in rows],
+                                step=step))
+    assert len(batch) == len(rows), name
+    for got, want in zip(batch, solo):
+        assert got.signal is want.signal
+        assert_same_trajectory(got, want)
+
+
+def test_mixed_rows_escape_beside_completed_rows():
+    # x' = x^3 + d x: the large starts escape, the small ones complete, under
+    # corner and random signals and at horizons that end on and off nodes
+    model, _ = MIXED_MODELS["cubic"]
+    rng = np.random.default_rng(3)
+    signals = [DisturbanceSignal.constant(-1.0), DisturbanceSignal.constant(1.0),
+               model.disturbance_set.sample_signal(rng, 1.0, pieces=4)]
+    rows = [(x, t, d) for x in (0.2, 3.0, -0.5, -4.0) for t in (0.0, 0.5, 0.77, 1.3)
+            for d in signals]
+    batch = list(flow_batch(model, [t for _, t, _ in rows], [[x] for x, _, _ in rows],
+                            [d for _, _, d in rows], step=0.02))
+    solo = [flow(model, t, [x], d, step=0.02) for x, t, d in rows]
+    assert any(tr.escaped is not None for tr in solo)
+    assert any(tr.escaped is None and tr.final_time > 1.0 for tr in solo)
+    for got, want in zip(batch, solo):
+        assert_same_trajectory(got, want)
 
 
 class TestAxioms:
