@@ -92,9 +92,9 @@ class ConverseConfig:
 
     def signals(self, model, horizon):
         rng = sub_rng(self.seed, 59)
-        return model.disturbance_set.probe_signals(
-            rng, max(horizon, 1e-6), self.disturbance_budget, magnitude=self.magnitude,
-        )
+        dset = model.disturbance_set
+        return dset.probe_signals(rng, max(horizon, 1e-6), self.disturbance_budget,
+                                  magnitude=dset.sweep((self.magnitude,))[0])
 
 
 def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magnitude=1.0):
@@ -110,7 +110,8 @@ def estimate_flow_lipschitz(model, R, tau, budget=12, *, seed=0, step=1e-3, magn
     if R <= 0 or tau <= 0:
         raise ValueError("R and tau must be positive")
     rng = sub_rng(seed, 61)
-    signals = model.disturbance_set.probe_signals(rng, tau, budget, magnitude=magnitude)
+    dset = model.disturbance_set
+    signals = dset.probe_signals(rng, tau, budget, magnitude=dset.sweep((magnitude,))[0])
     msg = "escape during Lipschitz estimation: flow is not complete on the ball"
     if model.propagator is not None and model.dim <= 8:
         # linear evolution in small dimension: flow the canonical basis and

@@ -103,8 +103,9 @@ def dini_derivative(V, model, x, d=None, h_sequence=None, step=None):
 
 
 def _dini_batch(V, model, X, d, h_sequence, step):
-    """``dini_derivative`` from each row of X under d, flowed as one batch:
-    yields ``(estimate, None)``, or ``(None, bracket)`` for a row that escaped."""
+    """``dini_derivative`` from each row of X under d (one signal, or one per
+    row), flowed as one batch: yields ``(estimate, None)``, or
+    ``(None, bracket)`` for a row that escaped."""
     exact_flow = model.propagator is not None
     if h_sequence is None:
         if step is None:
@@ -212,13 +213,14 @@ def verify_decay(V, alpha, model, state_samples, disturbance_samples, tol=1e-3,
     X = [model.state(x) for x in state_samples]
     if not X or not disturbance_samples:
         raise ValueError("need at least one state and one disturbance sample")
-    ests = [list(_dini_batch(V, model, X, d, h_sequence, step)) for d in disturbance_samples]
+    # one row per (state, signal) pair, state-major like the samples
+    ests = _dini_batch(V, model, [x for x in X for _ in disturbance_samples],
+                       [d for _ in X for d in disturbance_samples], h_sequence, step)
     samples = []
     worst = -np.inf
-    for i, x in enumerate(X):
+    for x in X:
         bound = -float(alpha(model.norm(x)))
-        for d, batch in zip(disturbance_samples, ests):
-            est = batch[i][0]
+        for d, (est, _) in zip(disturbance_samples, ests):
             if est is None:
                 samples.append(DecaySample(x, d, np.inf, bound, np.inf, escaped=True))
                 worst = np.inf

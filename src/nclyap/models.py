@@ -92,10 +92,11 @@ def build_ugatt_example():
     """
 
     def rhs(z, d):
-        x, y = z[..., 0], z[..., 1]
+        # d is one value, or a column of one value per row of z
+        x, y = z[..., :1], z[..., 1:]
         out = np.empty(np.shape(z))
-        out[..., 0] = d * x * y - x**3 - np.cbrt(x)
-        out[..., 1] = -(y**3) - np.cbrt(y)
+        out[..., :1] = d * x * y - x**3 - np.cbrt(x)
+        out[..., 1:] = -(y**3) - np.cbrt(y)
         return out
 
     return SystemModel(

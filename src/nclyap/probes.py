@@ -129,24 +129,23 @@ def _sphere_states(rng, dim, radius, count, extra=()):
 # reachability envelope mu
 # ---------------------------------------------------------------------------
 
-def _confirmed(model, horizon, states, d, step):
-    """The summary of each state's flow under d, escapes confirmed by refinement.
+def _refine(model, horizon, summaries, rows, d, step):
+    """Confirm the escapes among the summaries at ``rows``, flowed under d.
 
     Stiff dynamics under large disturbance magnitudes can blow up the
     fixed-step integrator spuriously, so an escape claim is only believed
-    once it survives steps 8 and 64 times finer.  All states flow as one
-    batch, then the escaped rows as one batch at each finer step; rows never
-    mix, so each summary is that of the state's own flow at its last step.
+    once it survives steps 8 and 64 times finer: the escaped rows flow again
+    as one batch at step / 8, then the rows still escaped as one batch at
+    step / 64.  Rows never mix, so each summary is that of the state's own
+    flow at its last step.
     """
-    summaries = [None] * len(states)
-    rows = range(len(states))
-    for h in (step, step / 8.0, step / 64.0):
-        for i, tr in zip(rows, flow_batch(model, horizon, [states[i] for i in rows], d, step=h)):
-            summaries[i] = _TrajSummary(states[i], d, tr.times, tr.norms, tr.escaped)
-        rows = [i for i in rows if summaries[i].escaped is not None]
+    for h in (step / 8.0, step / 64.0):
+        rows = [k for k in rows if summaries[k].escaped is not None]
         if not rows:
-            break
-    return summaries
+            return
+        for k, tr in zip(rows, flow_batch(model, horizon, [summaries[k].x0 for k in rows], d,
+                                          step=h)):
+            summaries[k] = _TrajSummary(summaries[k].x0, d, tr.times, tr.norms, tr.escaped)
 
 
 def _sample(model, rng, radius, n_states, n_signals, horizon, *, magnitude, pieces, step,
@@ -157,21 +156,24 @@ def _sample(model, rng, radius, n_states, n_signals, horizon, *, magnitude, piec
     directions, then ``n_states`` random ones) followed by the first
     ``interior`` of them pulled inside the ball; the signals are the probe
     signals of the disturbance set.  ``rng`` is drawn in exactly that order.
-    Every pair lazily yields one ``_TrajSummary``, state-major.  A signal's
-    first pair flows all states under it as one batch and confirms that
-    batch's escapes a batch at a time (``_confirmed``), so a caller that
-    stops early skips the remaining signals' flows and refinements.
+    Every pair yields one ``_TrajSummary``, state-major.  The first read
+    flows all (state, signal) pairs as one batch at ``step``; a signal's
+    escapes are confirmed (``_refine``) when its first pair is read, so a
+    caller that stops early skips the remaining signals' refinements.
     """
     states = _sphere_states(rng, model.dim, radius, n_states, extra=extra)
     states += [s * float(rng.uniform(0.2, 0.9)) for s in states[:interior]]
     signals = model.disturbance_set.probe_signals(
         rng, max(horizon, 1e-6), n_signals, pieces=pieces, magnitude=magnitude)
-    batches = [None] * len(signals)  # per signal: the confirmed summary of each state
-    for i in range(len(states)):
-        for j, d in enumerate(signals):
-            if batches[j] is None:
-                batches[j] = _confirmed(model, horizon, states, d, step)
-            yield batches[j][i]
+    pairs = [(x, d) for x in states for d in signals]
+    flows = flow_batch(model, horizon, [x for x, _ in pairs], [d for _, d in pairs], step=step)
+    summaries = [_TrajSummary(x, d, tr.times, tr.norms, tr.escaped)
+                 for (x, d), tr in zip(pairs, flows)]
+    for k in range(len(summaries)):
+        if k < len(signals):  # the first pair of signal k
+            _refine(model, horizon, summaries, range(k, len(summaries), len(signals)),
+                    signals[k], step)
+        yield summaries[k]
 
 
 def _mu_scan(model, C_grid, tau_grid, budget, *, seed, magnitude, pieces, step):
@@ -216,7 +218,8 @@ def estimate_mu(model, C_grid, tau_grid, budget=8, *, seed=0, magnitude=1.0, ste
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    cells, _ = _mu_scan(model, C_grid, tau_grid, budget, seed=seed, magnitude=magnitude,
+    cells, _ = _mu_scan(model, C_grid, tau_grid, budget, seed=seed,
+                        magnitude=model.disturbance_set.sweep((magnitude,))[0],
                         pieces=8, step=step)
     return KLSurface(np.asarray(C_grid, float), np.asarray(tau_grid, float), cells,
                      kind="increasing")
@@ -394,6 +397,7 @@ def probe_attractivity(model, notion, r_grid=(0.5, 1.0, 2.0), eps_grid=(0.05, 0.
     """
     if notion not in ("weak_attractive", "uniform_weak_attractive", "UGATT", "US", "UGAS"):
         raise ValueError(f"notion {notion!r} not probeable here")
+    magnitude = model.disturbance_set.sweep((magnitude,))[0]
 
     def collect(r, seed_salt=0):
         rng = sub_rng(seed, 29, seed_salt, int(r * 1e6) % 1000003)

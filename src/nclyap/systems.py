@@ -259,7 +259,8 @@ class DisturbanceSet:
         """The magnitudes of a probe's sweep: 1.0 alone for a bounded D, which
         is probed whole; else ``magnitudes`` in order and without repeats,
         where one whose window is empty, below the finite end of a
-        half-infinite D, gives way to that end's magnitude."""
+        half-infinite D, gives way to that end's magnitude.  A probe that
+        takes one magnitude reads it as ``sweep((magnitude,))[0]``."""
         if self.bounded:
             return (1.0,)
         swept = []
@@ -314,13 +315,15 @@ class DisturbanceSet:
 class SystemModel:
     """A simulatable disturbed system.
 
-    Exactly one of ``rhs`` (vector field ``f(X, d_value)``) or
-    ``propagator`` (``(d_value, dt) -> (X -> X)``, exact linear evolution)
-    must be supplied.  Both act on states as rows, as ``flow_batch`` calls
-    them: ``X`` has shape ``(B, dim)``, and row b of the result depends on
-    row b of ``X`` alone.  A propagator's map is linear, so 0 is an
-    equilibrium of every propagator model; it is built on every call and
-    keeps no cache.  ``norm`` and ``Trajectory.norms`` are Euclidean.
+    Exactly one of ``rhs`` (vector field ``f(X, d)``) or ``propagator``
+    (``(d_value, dt) -> (X -> X)``, exact linear evolution) must be
+    supplied.  Both act on states as rows, as ``flow_batch`` calls them:
+    ``X`` has shape ``(B, dim)``, and row b of the result depends on row b
+    of ``X`` alone.  A vector field's ``d`` is one value or a ``(B, 1)``
+    column of one value per row, so it must broadcast; a propagator's is
+    one value, and the kernel groups rows by value for it.  A propagator's
+    map is linear, so 0 is an equilibrium of every propagator model; it is
+    built on every call and keeps no cache.  ``norm`` and ``Trajectory.norms`` are Euclidean.
     """
 
     name: str
@@ -417,13 +420,15 @@ def flow_batch(model, t, X, d=None, step=1e-3):
     keeps the nodes of its own flow: rows whose signals share their
     breakpoints share one node grid, up to the longest of their horizons,
     and a row whose horizon ends inside a piece takes its own shortened last
-    step there and retires.  Within a piece the rows of one signal value
-    advance together, one step per node.  A row whose norm passes
-    ``EXPLOSION_THRESHOLD`` (1e12) or goes non-finite leaves the batch, and
-    ``escaped`` brackets its escape time; non-finite states are never
-    returned.  Rows never mix, so each trajectory is the flow of its row
-    alone.  Yields one ``Trajectory`` per row, integrating a chunk of at
-    most ``_CHUNK_BYTES`` of states when its first row is asked for.
+    step there and retires.  Within a piece a vector field's rows advance
+    together, one RK4 step per node with a column of their values, and a
+    propagator's rows of one value together, one apply per node.  A row
+    whose norm passes ``EXPLOSION_THRESHOLD`` (1e12) or goes non-finite
+    leaves the batch, and ``escaped`` brackets its escape time; non-finite
+    states are never returned.  Rows never mix, so each trajectory is the
+    flow of its row alone.  Yields one ``Trajectory`` per row, integrating a
+    chunk of at most ``_CHUNK_BYTES`` of states when its first row is asked
+    for.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be finite and positive, got {step!r}")
@@ -516,10 +521,16 @@ def _integrate(model, grids, X, ts, ds, n):
                 if not rows:
                     break
                 k1 = starts[p + 1] if p + 1 < len(starts) else len(steps)
-                classes = {}
-                for b in rows:
-                    classes.setdefault(ds[b].values[p], []).append(b)
-                for v, cls in classes.items():
+                if model.propagator is None:
+                    # a vector field takes the column of the rows' own values
+                    classes = [(np.array([ds[b].values[p] for b in rows])[:, None], rows)]
+                else:
+                    # a propagator builds one map per value, for that value's rows
+                    by_value = {}
+                    for b in rows:
+                        by_value.setdefault(ds[b].values[p], []).append(b)
+                    classes = by_value.items()
+                for v, cls in classes:
                     _advance(step_map, v, cls, k0, k1, grid, X, states, ts, n, last, ends)
     for b, j in enumerate(last):
         # a row's nodes are its grid's up to its last step, which ends at its horizon
@@ -537,9 +548,10 @@ _SAFE_SQUARES = 0.5 * EXPLOSION_THRESHOLD**2
 
 
 def _advance(step_map, v, rows, k0, k1, grid, X, states, ts, n, last, ends):
-    """Step the rows of one signal value, longest horizon first, from node k0
-    to node k1.  A row stops early at its own last node, or at its last
-    finite one when it escapes."""
+    """Step the rows, longest horizon first, from node k0 to node k1 under v:
+    one value of them all (a propagator's class) or a column of one value
+    per row (a vector field's), which is cut with the rows.  A row stops
+    early at its own last node, or at its last finite one when it escapes."""
     times, steps, _ = grid
     dst, retire = _index(rows), n[rows[-1]]
     # at node 0 the rows start from X itself, where a slice of rows is no copy
@@ -552,12 +564,12 @@ def _advance(step_map, v, rows, k0, k1, grid, X, states, ts, n, last, ends):
             go = _going(rows, n, k)
             nxt = np.empty_like(cur)
             if go:
-                nxt[:go] = step_map(v, steps[k - 1])(cur[:go])
+                nxt[:go] = step_map(_part(v, slice(go)), steps[k - 1])(cur[:go])
             own = {}
             for j in range(go, len(rows)):
                 own.setdefault(ts[rows[j]] - float(times[k - 1]), []).append(j)
             for h, js in own.items():
-                nxt[js] = step_map(v, h)(cur[js])
+                nxt[js] = step_map(_part(v, js), h)(cur[js])
         # C order, so that the norms round as math.sqrt(x.dot(x)) does
         nxt = np.ascontiguousarray(nxt, dtype=float)
         flat = nxt.ravel()
@@ -571,15 +583,20 @@ def _advance(step_map, v, rows, k0, k1, grid, X, states, ts, n, last, ends):
             rows = [b for b, keep in zip(rows, ok) if keep]
             if not rows:
                 return
-            nxt, dst, retire = nxt[ok], _index(rows), n[rows[-1]]
+            nxt, v, dst, retire = nxt[ok], _part(v, ok), _index(rows), n[rows[-1]]
         states[dst, k] = nxt
         if k == retire:
             go = _going(rows, n, k)
             if not go:
                 return
-            rows, nxt = rows[:go], nxt[:go]
+            rows, nxt, v = rows[:go], nxt[:go], _part(v, slice(go))
             dst, retire = _index(rows), n[rows[-1]]
         cur = nxt
+
+
+def _part(v, index):
+    """The values of the rows at ``index``: a column's part, or the one shared value."""
+    return v[index] if isinstance(v, np.ndarray) else v
 
 
 def _going(rows, n, k):
@@ -641,6 +658,8 @@ def check_axioms(model, sample_budget=10, *, seed=0, step=1e-3,
     """
     if sample_budget < 1:
         raise ValueError("sample_budget must be >= 1")
+    dset = model.disturbance_set
+    magnitude = dset.sweep((magnitude,))[0]
     id_max = ca_max = co_max = cont_max = 0.0
     escaped = 0
     used = 0
@@ -649,7 +668,6 @@ def check_axioms(model, sample_budget=10, *, seed=0, step=1e-3,
         x = _unit_direction(rng, model.dim) * radius * rng.uniform(0.1, 1.0)
         t = float(rng.uniform(0.05, t_max))
         h = float(rng.uniform(0.05, t_max))
-        dset = model.disturbance_set
         d = dset.sample_signal(rng, t + h, pieces=4, magnitude=magnitude)
         d_other = dset.sample_signal(rng, t + h, pieces=4, magnitude=magnitude)
 
@@ -687,6 +705,7 @@ def check_homogeneity(model, sample_budget=10, *, seed=0, step=1e-3,
                       radius=1.0, lambda_max=2.0, magnitude=1.0):
     """Residuals of ``phi(t, lambda x, d) = lambda phi(t, x, d)`` over samples,
     at times t drawn from [0.05, 0.5] under 4-piece signals."""
+    magnitude = model.disturbance_set.sweep((magnitude,))[0]
     worst = None
     res_max = 0.0
     escaped = 0

@@ -13,6 +13,8 @@ from nclyap.converse import (
 from nclyap.models import build_linear, build_switched_linear
 from nclyap.systems import DisturbanceSet, EscapeError, SystemModel, flow
 
+from test_systems import beyond_unit_magnitude
+
 
 def identity_config(**kw):
     defaults = dict(rho=identity_table(12.0), alpha1=identity_table(12.0),
@@ -26,6 +28,11 @@ def decay_linear():
 
 
 class TestFlowLipschitz:
+    def test_half_infinite_set_beyond_unit_magnitude(self):
+        # the pairs flow under d = 2, the finite end of D = [2, inf)
+        L = estimate_flow_lipschitz(beyond_unit_magnitude(), R=1.0, tau=0.5, budget=2, seed=0)
+        assert L == pytest.approx(1.0, abs=1e-9)
+
     def test_contraction_has_unit_constant(self):
         L = estimate_flow_lipschitz(decay_linear(), R=2.0, tau=1.0, budget=6, seed=0)
         assert L == pytest.approx(1.0, abs=1e-9)
@@ -66,6 +73,13 @@ class TestFlowLipschitz:
 
 
 class TestVkIntegral:
+    def test_half_infinite_set_beyond_unit_magnitude(self):
+        # the config's magnitude 1 reads through the sweep rule: its one
+        # signal is the constant at the finite end of D = [2, inf)
+        model = beyond_unit_magnitude()
+        assert [s.values for s in identity_config().signals(model, 1.0)] == [(2.0,)]
+        assert construct_vk_integral(model, 1, identity_config())(np.array([np.e])) > 0.0
+
     def test_golden_value_at_e(self):
         # closed form: int_0^{ln x} (x e^{-t} - 1) dt = x - 1 - ln x
         vk = construct_vk_integral(decay_linear(), 1, identity_config())

@@ -23,6 +23,8 @@ from nclyap.probes import (
 )
 from nclyap.systems import DisturbanceSet, DisturbanceSignal, SystemModel, flow
 
+from test_systems import beyond_unit_magnitude
+
 
 class TestEstimateMu:
     def test_growth_variant_reaches_e(self):
@@ -101,6 +103,11 @@ class TestFourWayClassification:
         rep = classify_rep(model, budget=2, seed=0, magnitudes=(4.0, 16.0))
         assert list(rep.tables["eps_delta"]["eps=0.5,h=0.5"]) == ["4.0", "16.0"]
 
+    def test_half_infinite_set_beyond_unit_magnitude_mu(self):
+        # estimate_mu reads its one magnitude through the sweep rule: d = 2
+        mu = estimate_mu(beyond_unit_magnitude(), (1.0,), (0.0, 1.0))
+        assert mu.values.tolist() == [[1.0, 1.0]]
+
     def test_sweep_of_an_interval(self):
         assert DisturbanceSet.interval(2.0, np.inf).sweep((1.0, 1.5, 4.0)) == (2.0, 4.0)
         assert DisturbanceSet.interval(-np.inf, -3.0).sweep((1.0, 8.0)) == (3.0, 8.0)
@@ -124,6 +131,12 @@ class TestFourWayClassification:
 
 
 class TestAttractivity:
+    def test_half_infinite_set_beyond_unit_magnitude(self):
+        # probe_attractivity reads its one magnitude through the sweep rule,
+        # so x' = -d x on D = [2, inf) is probed under d = 2 and decays
+        report = probe_attractivity(beyond_unit_magnitude(), "UGAS")
+        assert report.verdict == "consistent"
+
     def test_linear_ugas_with_exponential_fit(self):
         lin = build_linear([[-1.0]])
         report = probe_attractivity(lin, "UGAS", r_grid=(0.5, 1.0, 2.0),
@@ -150,9 +163,10 @@ class TestAttractivity:
         assert all(v <= 2 * t_star for v in report.tables["tau"].values())
 
     def test_ugatt_draws_each_budget_doubling_once_per_radius(self, monkeypatch):
-        # every eps at a radius reuses that radius's doubling draws: 2 flows
-        # per signal for each radius (the base draw and one doubling), over
-        # 3 radii and 6 signals, where a draw per (radius, eps) made 54
+        # every eps at a radius reuses that radius's doubling draws, and each
+        # draw flows all its (state, signal) pairs in one call: the base draw
+        # and one doubling at each of 3 radii, with no escape to refine, where
+        # a call per signal made 36 and a draw per (radius, eps) made 54
         calls = []
         flow_batch = probes.flow_batch
 
@@ -164,7 +178,7 @@ class TestAttractivity:
         report = probe_attractivity(build_ugatt_example(), "UGATT", eps_grid=(0.05, 0.1),
                                     budget=3, horizon=4.0, step=2e-2, stability_rel=0.25,
                                     seed=0)
-        assert len(calls) == 36
+        assert len(calls) == 6
         assert report.verdict == "consistent"
         assert report.tables["tau"] == {
             "r=0.5,eps=0.05": 0.7000000000000001, "r=0.5,eps=0.1": 0.58,
@@ -173,30 +187,40 @@ class TestAttractivity:
         }
 
     def test_escapes_confirmed_one_batch_per_step_factor(self, monkeypatch):
-        # x' = d x at magnitude 64 escapes under every growing signal; each
-        # signal flows its states once, then its escaped rows once at step / 8
-        # and the rows still escaped once at step / 64
+        # x' = d x at magnitude 64 escapes under every growing signal; all
+        # (state, signal) pairs flow in one call, then each signal with
+        # escapes flows its escaped rows once at step / 8 and the rows still
+        # escaped once at step / 64
         calls = []
         flow_batch = probes.flow_batch
 
         def counting(model, t, X, d, step):
-            calls.append((d, step, len(X)))
+            calls.append((t, X, d, step))
             return flow_batch(model, t, X, d, step=step)
 
         monkeypatch.setattr(probes, "flow_batch", counting)
-        step = 2e-2
-        cells, _ = probes._mu_scan(build_scalar_example("ii"), (1.0,), (0.0, 0.5), 3, seed=0,
+        model, step = build_scalar_example("ii"), 2e-2
+        cells, _ = probes._mu_scan(model, (1.0,), (0.0, 0.5), 3, seed=0,
                                    magnitude=64.0, pieces=8, step=step)
         assert np.isinf(cells[0, 1])
+        (t, X, signals, h), *refines = calls
+        # six states under the corners -64, 0, 64 and three random signals
+        assert h == step and len(X) == len(signals) == 36
+        escapes = {}
+        for d, tr in zip(signals, flow_batch(model, t, X, signals, step=step)):
+            escapes[id(d)] = escapes.get(id(d), 0) + (tr.escaped is not None)
         per_signal = {}
-        for d, h, rows in calls:
-            per_signal.setdefault(id(d), []).append((h, rows))
-        assert len(per_signal) == 6  # the corners -64, 0, 64 and three random signals
-        for runs in per_signal.values():
-            assert 1 <= len(runs) <= 3
-            assert [h for h, _ in runs] == [step, step / 8.0, step / 64.0][:len(runs)]
+        for _, X, d, h in refines:
+            assert isinstance(d, DisturbanceSignal)
+            per_signal.setdefault(id(d), []).append((h, len(X)))
+        assert per_signal
+        for key, runs in per_signal.items():
+            assert len(runs) <= 2
+            assert [h for h, _ in runs] == [step / 8.0, step / 64.0][:len(runs)]
+            assert runs[0][1] == escapes[key]
             assert all(a >= b for (_, a), (_, b) in zip(runs, runs[1:]))
-        assert max(len(runs) for runs in per_signal.values()) == 3
+        assert set(per_signal) == {key for key, count in escapes.items() if count}
+        assert max(len(runs) for runs in per_signal.values()) == 2
 
     def test_confirmed_escapes_match_solo_refined_flows(self):
         # each summary is bit for bit the flow of its state alone at the last

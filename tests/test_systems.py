@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +26,12 @@ def decaying_model():
         name="xdot=-x", dim=1, disturbance_set=DisturbanceSet.real_line(),
         rhs=lambda x, d: -x, homogeneous=True, meta={"kind": "test-decay"},
     )
+
+
+def beyond_unit_magnitude():
+    """x' = -d x on D = [2, inf), which has no value within magnitude 1: a
+    probe given that magnitude draws its signals at the finite end, d = 2."""
+    return SystemModel("decay", 1, DisturbanceSet.interval(2.0, np.inf), rhs=lambda x, d: -d * x)
 
 
 class TestDisturbanceSignal:
@@ -227,6 +234,41 @@ class TestFlowBatch:
             for x, traj in zip(X, trajs):
                 assert_same_trajectory(traj, flow(model, 1.0, x, d, step=2e-2))
 
+    def test_zoo_fields_take_one_value_per_row(self):
+        # rhs(X, column) gives row b exactly as rhs(X[b:b+1], scalar) does
+        for name, model, kw in zoo_entries():
+            if model.rhs is None:
+                continue
+            rng = np.random.default_rng(5)
+            X = rng.normal(size=(7, model.dim)) * 2.0
+            column = np.array([[model.disturbance_set.sample_value(rng, 64.0)] for _ in X])
+            got = model.rhs(X, column)
+            assert got.shape == X.shape, name
+            for b, v in enumerate(column[:, 0]):
+                assert got[b:b + 1].tobytes() == model.rhs(X[b:b + 1], float(v)).tobytes(), name
+
+    def test_rows_under_different_values_step_together(self):
+        # six rows under six random signals on one breakpoint grid: one rhs
+        # call per RK4 stage and node for all of them, each with a column of
+        # the six rows' values, where one class per value made 24 calls a node
+        calls = []
+        base = build_ugatt_example()
+
+        def counting(X, d):
+            calls.append((len(X), np.shape(d)))
+            return base.rhs(X, d)
+
+        model = dataclasses.replace(base, rhs=counting)
+        rng = np.random.default_rng(2)
+        signals = [model.disturbance_set.sample_signal(rng, 1.0, pieces=4) for _ in range(6)]
+        X = rng.normal(size=(6, 2)) * 0.5
+        trajs = list(flow_batch(model, 1.0, X, signals, step=0.05))
+        nodes = len(trajs[0].times) - 1
+        assert nodes == 20 and all(tr.escaped is None for tr in trajs)
+        assert calls == [(6, (6, 1))] * (4 * nodes)
+        for x, d, traj in zip(X, signals, trajs):
+            assert_same_trajectory(traj, flow(base, 1.0, x, d, step=0.05))
+
     def test_blowup_escapes_and_convergence_in_one_batch(self):
         model, _ = build_blowup_example(3.0)
         grid = [(z1, z2) for z1 in np.linspace(-4.0, -1.0, 7)[::3]
@@ -278,10 +320,15 @@ class TestFlowBatch:
 
 
 # models for the mixed-row property: vector fields (one with escapes beside
-# completed rows) and propagators, each with per-row signal values that matter
+# completed rows, and the scalar examples' abs(d) and np.maximum on a column
+# of values) and propagators, each with per-row signal values that matter
 MIXED_MODELS = {
     "ugatt": (build_ugatt_example(), 2.0),
+    "scalar-i": (build_scalar_example("i"), 4.0),
     "scalar-ii": (build_scalar_example("ii"), 4.0),
+    "scalar-iii": (build_scalar_example("iii"), 4.0),
+    "scalar-iv": (build_scalar_example("iv"), 4.0),
+    "blowup": (build_blowup_example(3.0)[0], 1.0),
     "cubic": (SystemModel("cubic", 1, DisturbanceSet.interval(-1.0, 1.0),
                           rhs=lambda x, d: x**3 + d * x), 1.0),
     "switched": (build_switched_linear(STABLE_PAIR).system, 1.0),
@@ -357,6 +404,10 @@ def test_mixed_rows_escape_beside_completed_rows():
 
 
 class TestAxioms:
+    def test_half_infinite_set_beyond_unit_magnitude(self):
+        report = check_axioms(beyond_unit_magnitude(), 2)
+        assert report.samples == 2 and report.passed(1e-6)
+
     def test_linear_model_passes(self):
         report = check_axioms(decaying_model(), sample_budget=8, seed=1)
         assert report.identity_max == 0.0
@@ -394,6 +445,10 @@ class TestAxioms:
 
 
 class TestHomogeneity:
+    def test_half_infinite_set_beyond_unit_magnitude(self):
+        report = check_homogeneity(beyond_unit_magnitude(), 2)
+        assert report.samples == 2 and report.max_residual <= 1e-12
+
     def test_linear_models_are_homogeneous(self):
         report = check_homogeneity(decaying_model(), sample_budget=10, seed=5)
         assert report.max_residual <= 1e-8
