@@ -1,9 +1,12 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from nclyap.cli import ConfigError, ExperimentConfig, main, run
+from nclyap.cli import ConfigError, ExperimentConfig, _shell_states, main, run
+from nclyap.models import BlockOperatorModel, _block_exponential, build_l2_block_model
 
 
 class TestExperimentConfig:
@@ -141,6 +144,58 @@ class TestReproduceDeterminism:
         lam = (tmp_path / "ex62_lambda_min.csv").read_text().strip().splitlines()
         assert lam[0] == "i,lambda_min"
         assert len(lam) == 7
+
+    def test_ex62_applies_the_propagator_only_at_the_times_it_reads(self, tmp_path, monkeypatch):
+        # the propagator is exact at any step: the ten shell states flow as
+        # one batch with nodes 0, 0.5, 1, 1.5, 2 (four applies), and the
+        # instability witness in one step to t = 10
+        applies = []
+        make = BlockOperatorModel.propagator
+
+        def counted(self, d, dt):
+            advance = make(self, d, dt)
+
+            def apply(X):
+                applies.append((len(X), dt))
+                return advance(X)
+            return apply
+
+        monkeypatch.setattr(BlockOperatorModel, "propagator", counted)
+        cfg = ExperimentConfig(
+            "reproduce", params={"target": "ex62", "n": 25, "epsilon": 0.25},
+            seed=0, out=str(tmp_path))
+        assert run(cfg) == 0
+        assert applies == [(10, 0.5)] * 4 + [(1, 10.0)]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    def test_ex62_matches_the_closed_form_exponential(self, tmp_path, eps):
+        n = 25
+        cfg = ExperimentConfig(
+            "reproduce", params={"target": "ex62", "n": n, "epsilon": eps},
+            seed=0, out=str(tmp_path))
+        assert run(cfg) == 0
+        block = build_l2_block_model(n, eps)
+        tril = np.tril_indices(n)
+
+        def evolve(x, t):
+            # row i - 1 of the lower triangle is block i: one product with E(t)^T
+            X = np.zeros((n, n))
+            X[tril] = x
+            return (X @ _block_exponential(n, eps, t).T)[tril]
+
+        xs = list(_shell_states(0, block.dim, 10, 0.5, 2.0))
+        with open(tmp_path / "ex62_v_decay.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 30
+        for row in rows:
+            x, t = xs[int(row["trajectory"])], float(row["t"])
+            expected = block.V(evolve(x, t)) / block.V(x)
+            assert float(row["V_ratio"]) == pytest.approx(expected, rel=1e-12, abs=0)
+        if eps > 0:
+            with open(tmp_path / "ex62_instability.csv") as f:
+                growth = {r["quantity"]: float(r["value"]) for r in csv.DictReader(f)}
+            sigma = np.linalg.norm(_block_exponential(n, eps, 10.0), 2)
+            assert growth["growth_factor"] == pytest.approx(sigma, rel=1e-12, abs=0)
 
 
 class TestMainEntry:
