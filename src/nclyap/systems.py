@@ -42,6 +42,14 @@ EXPLOSION_THRESHOLD = 1e12
 
 # Bytes of states in one chunk of rows, which ``flow_batch`` integrates together.
 _CHUNK_BYTES = 1 << 25
+# Bytes of states that one propagator apply takes in: a leap's apply takes
+# every node it fills, which at high dimension would copy megabytes at once.
+_APPLY_BYTES = 1 << 20
+# The longest time step of a propagator's leap map.  The matrix exponential
+# loses accuracy on long steps (expm(A 2.56) of A = [[-1.5, 0.5], [0, -0.8]]
+# is 3.7e-13 off, where every step up to 1.0 is within 3e-16), and its
+# entries overflow under a fast expanding mode.
+_LEAP_SECONDS = 1.0
 
 
 class EscapeError(RuntimeError):
@@ -322,8 +330,10 @@ class SystemModel:
     of ``X`` alone.  A vector field's ``d`` is one value or a ``(B, 1)``
     column of one value per row, so it must broadcast; a propagator's is
     one value, and the kernel groups rows by value for it.  A propagator's
-    map is linear, so 0 is an equilibrium of every propagator model; it is
-    built on every call and keeps no cache.  ``norm`` and ``Trajectory.norms`` are Euclidean.
+    map is the exact evolution over any ``dt``, since the kernel reaches a
+    node by composing maps over different time steps; it is linear, so 0 is
+    an equilibrium of every propagator model, and it is built on every call
+    and keeps no cache.  ``norm`` and ``Trajectory.norms`` are Euclidean.
     """
 
     name: str
@@ -415,17 +425,24 @@ def flow_batch(model, t, X, d=None, step=1e-3):
     or a sequence of one per row (None: the model's default signal).
     Vector-field models use fixed-step classical RK4, split exactly at the
     signal's breakpoints so the integrator only ever reads d on [0, t].
-    Propagator models apply the exact evolution operator, built once per
-    distinct (d value, step) pair and kept for one chunk of rows.  Each row
+    Propagator models apply the exact evolution operator, each map built
+    once per (d value, time step) and kept for one chunk of rows.  Each row
     keeps the nodes of its own flow: rows whose signals share their
     breakpoints share one node grid, up to the longest of their horizons,
     and a row whose horizon ends inside a piece takes its own shortened last
     step there and retires.  Within a piece a vector field's rows advance
-    together, one RK4 step per node with a column of their values, and a
-    propagator's rows of one value together, one apply per node.  A row
-    whose norm passes ``EXPLOSION_THRESHOLD`` (1e12) or goes non-finite
-    leaves the batch, and ``escaped`` brackets its escape time; non-finite
-    states are never returned.  Rows never mix, so each trajectory is the
+    together, one RK4 step per node with a column of their values.  A
+    propagator's rows of one value leap together: the j-th full-step node
+    of a piece comes from an earlier one by the map at step 2^m, so a
+    piece of F full steps takes ceil(log2(F + 1)) leaps, each one apply
+    over all the nodes it fills (split into applies of at most
+    ``_APPLY_BYTES`` of states), before the last steps.  A leap's map
+    spans at most ``_LEAP_SECONDS``: once leaps reach that span they stop
+    doubling, and each further one fills one span more.  A row whose
+    leaps give a bad node is stepped again one map per node.  A row whose
+    norm passes ``EXPLOSION_THRESHOLD`` (1e12) or goes non-finite leaves
+    the batch, and ``escaped`` brackets its escape time; non-finite states
+    are never returned.  Rows never mix, so each trajectory is the
     flow of its row alone.  Yields one ``Trajectory`` per row, integrating a
     chunk of at most ``_CHUNK_BYTES`` of states when its first row is asked
     for.
@@ -456,7 +473,7 @@ def flow_batch(model, t, X, d=None, step=1e-3):
                 n[b] = starts[p] + _full_steps(bps[p], ts[b], step) + 1
     chunk = max(1, _CHUNK_BYTES // (8 * (max(n) + 1) * model.dim))
     return (traj for lo in range(0, len(X), chunk)
-            for traj in _integrate(model, grids, X[lo:lo + chunk], ts[lo:lo + chunk],
+            for traj in _integrate(model, grids, step, X[lo:lo + chunk], ts[lo:lo + chunk],
                                    ds[lo:lo + chunk], n[lo:lo + chunk]))
 
 
@@ -491,7 +508,7 @@ def _grid(bps, horizon, step):
     return times, np.diff(times).tolist(), starts
 
 
-def _integrate(model, grids, X, ts, ds, n):
+def _integrate(model, grids, step, X, ts, ds, n):
     states = np.empty((len(X), max(n) + 1, model.dim))
     states[:, 0] = X
     last = list(n)  # index of each row's last state
@@ -508,8 +525,7 @@ def _integrate(model, grids, X, ts, ds, n):
                 return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             return rk4
     else:
-        # one step map per (d value, step), kept for this chunk: the steps of
-        # a node grid differ in their last bits, so a flow builds about ten maps
+        # one step map per (d value, step), kept for this chunk
         step_map = cache(model.propagator)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -523,15 +539,16 @@ def _integrate(model, grids, X, ts, ds, n):
                 k1 = starts[p + 1] if p + 1 < len(starts) else len(steps)
                 if model.propagator is None:
                     # a vector field takes the column of the rows' own values
-                    classes = [(np.array([ds[b].values[p] for b in rows])[:, None], rows)]
+                    v = np.array([ds[b].values[p] for b in rows])[:, None]
+                    _advance(step_map, v, rows, k0, k1, grid, X, states, ts, n, last, ends)
                 else:
-                    # a propagator builds one map per value, for that value's rows
+                    # a propagator builds its maps per value, for that value's rows
                     by_value = {}
                     for b in rows:
                         by_value.setdefault(ds[b].values[p], []).append(b)
-                    classes = by_value.items()
-                for v, cls in classes:
-                    _advance(step_map, v, cls, k0, k1, grid, X, states, ts, n, last, ends)
+                    for v, cls in by_value.items():
+                        _leap(step_map, v, cls, k0, k1, grid, step, states, ts, n, last,
+                              ends)
     for b, j in enumerate(last):
         # a row's nodes are its grid's up to its last step, which ends at its horizon
         times = grids[ds[b].breakpoints][0][:j + 1]
@@ -548,10 +565,10 @@ _SAFE_SQUARES = 0.5 * EXPLOSION_THRESHOLD**2
 
 
 def _advance(step_map, v, rows, k0, k1, grid, X, states, ts, n, last, ends):
-    """Step the rows, longest horizon first, from node k0 to node k1 under v:
-    one value of them all (a propagator's class) or a column of one value
-    per row (a vector field's), which is cut with the rows.  A row stops
-    early at its own last node, or at its last finite one when it escapes."""
+    """Step the rows, longest horizon first, from node k0 to node k1 under
+    the column v of one value per row, which is cut with the rows.  A row
+    stops early at its own last node, or at its last finite one when it
+    escapes."""
     times, steps, _ = grid
     dst, retire = _index(rows), n[rows[-1]]
     # at node 0 the rows start from X itself, where a slice of rows is no copy
@@ -564,12 +581,12 @@ def _advance(step_map, v, rows, k0, k1, grid, X, states, ts, n, last, ends):
             go = _going(rows, n, k)
             nxt = np.empty_like(cur)
             if go:
-                nxt[:go] = step_map(_part(v, slice(go)), steps[k - 1])(cur[:go])
+                nxt[:go] = step_map(v[:go], steps[k - 1])(cur[:go])
             own = {}
             for j in range(go, len(rows)):
                 own.setdefault(ts[rows[j]] - float(times[k - 1]), []).append(j)
             for h, js in own.items():
-                nxt[js] = step_map(_part(v, js), h)(cur[js])
+                nxt[js] = step_map(v[js], h)(cur[js])
         # C order, so that the norms round as math.sqrt(x.dot(x)) does
         nxt = np.ascontiguousarray(nxt, dtype=float)
         flat = nxt.ravel()
@@ -583,20 +600,76 @@ def _advance(step_map, v, rows, k0, k1, grid, X, states, ts, n, last, ends):
             rows = [b for b, keep in zip(rows, ok) if keep]
             if not rows:
                 return
-            nxt, v, dst, retire = nxt[ok], _part(v, ok), _index(rows), n[rows[-1]]
+            nxt, v, dst, retire = nxt[ok], v[ok], _index(rows), n[rows[-1]]
         states[dst, k] = nxt
         if k == retire:
             go = _going(rows, n, k)
             if not go:
                 return
-            rows, nxt, v = rows[:go], nxt[:go], _part(v, slice(go))
+            rows, nxt, v = rows[:go], nxt[:go], v[:go]
             dst, retire = _index(rows), n[rows[-1]]
         cur = nxt
 
 
-def _part(v, index):
-    """The values of the rows at ``index``: a column's part, or the one shared value."""
-    return v[index] if isinstance(v, np.ndarray) else v
+def _leap(step_map, v, rows, k0, k1, grid, step, states, ts, n, last, ends):
+    """Fill the rows' nodes k0 + 1 to k1 with the exact maps of the value v.
+
+    The rows come longest horizon first.  Node k0 + j, j full steps in, is
+    node k0 + j - s advanced by the map over s steps, where s is the
+    largest power of two up to j whose map spans at most ``_LEAP_SECONDS``
+    (or 1), so its value depends on j alone: with nodes k0 to k0 + f - 1
+    filled, each round maps nodes k0 + f - s to k0 + f - 1 of the rows that
+    need more s steps on, and s doubles while it may.  Then each row takes
+    its own shortened last step, to its horizon or to the piece's end.  A
+    leap may fill a row's nodes past its last one in the piece, which are
+    neither read nor checked.  A row with a node whose norm passes
+    ``EXPLOSION_THRESHOLD`` or goes non-finite is stepped again from node
+    k0, one map per node by ``_advance``, so it escapes where single steps
+    do: a leap's map can overflow on a bounded row.
+    """
+    times, steps, _ = grid
+    # every state as a row of one 2-d view: row b's node k is row b * width + k
+    nodes, width = states.reshape(-1, states.shape[2]), states.shape[1]
+    tops = [min(n[b], k1) for b in rows]  # each row's last node in the piece
+    full = tops[0] - k0 - 1  # the most full steps a row takes
+    origins = np.array(rows) * width + k0
+    # (time step, source nodes, shift to the nodes they fill); nodes k0 to
+    # k0 + filled - 1 are filled before each round
+    jobs, span, filled = [], 1, 1
+    while filled <= full:
+        need = sum(top - k0 > filled for top in tops)  # rows with a full-step node past them
+        src = origins[:need, None] + np.arange(filled - span, min(filled, full + 1 - span))
+        jobs.append((step * span, src.ravel(), span))
+        filled += src.shape[1]
+        if step * 2 * span <= _LEAP_SECONDS:
+            span *= 2
+    # then the shortened last steps, one map per distinct length
+    own = {}
+    for b, top in zip(rows, tops):
+        h = steps[k1 - 1] if n[b] > k1 else ts[b] - float(times[top - 1])
+        own.setdefault(h, []).append(b * width + top - 1)
+    jobs += [(h, np.array(src), 1) for h, src in own.items()]
+    # each apply takes in at most _APPLY_BYTES of states; a NaN or inf
+    # fails the escape test, and then each row's nodes are checked
+    safe, per = True, max(1, _APPLY_BYTES // (8 * states.shape[2]))
+    for dt, src, shift in jobs:
+        advance = step_map(v, dt)
+        for i in range(0, len(src), per):
+            k = src[i:i + per]
+            nodes[k + shift] = new = advance(nodes[k])
+            flat = new.ravel()
+            safe &= bool(flat.dot(flat) <= _SAFE_SQUARES)
+    if safe:
+        return
+    again = []
+    for b, top in zip(rows, tops):
+        S = states[b, k0 + 1:top + 1]
+        if not (np.sqrt(np.vecdot(S, S)) <= EXPLOSION_THRESHOLD).all():
+            again.append(b)
+    if again:
+        # _advance cuts a column of values with the rows; here each row's is v
+        _advance(lambda _, h: step_map(v, h), np.zeros(len(again)), again, k0, k1, grid,
+                 states[:, 0], states, ts, n, last, ends)
 
 
 def _going(rows, n, k):

@@ -147,8 +147,9 @@ class TestReproduceDeterminism:
 
     def test_ex62_applies_the_propagator_only_at_the_times_it_reads(self, tmp_path, monkeypatch):
         # the propagator is exact at any step: the ten shell states flow as
-        # one batch with nodes 0, 0.5, 1, 1.5, 2 (four applies), and the
-        # instability witness in one step to t = 10
+        # one batch with nodes 0, 0.5, 1, 1.5, 2 (node 1 from node 0 at 0.5,
+        # nodes 2 and 3 from nodes 0 and 1 at 1.0, node 4 by the last step),
+        # and the instability witness in one step to t = 10
         applies = []
         make = BlockOperatorModel.propagator
 
@@ -165,7 +166,7 @@ class TestReproduceDeterminism:
             "reproduce", params={"target": "ex62", "n": 25, "epsilon": 0.25},
             seed=0, out=str(tmp_path))
         assert run(cfg) == 0
-        assert applies == [(10, 0.5)] * 4 + [(1, 10.0)]
+        assert applies == [(10, 0.5), (20, 1.0), (10, 0.5), (1, 10.0)]
 
     @pytest.mark.parametrize("eps", [0.0, 0.25])
     def test_ex62_matches_the_closed_form_exponential(self, tmp_path, eps):

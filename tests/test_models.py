@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nclyap import systems
 from nclyap.models import (
     blowup_construction,
     build_blowup_example,
@@ -488,8 +489,11 @@ class TestSwitchedLinear:
 
 @pytest.mark.parametrize("kind", ["block", "switched"])
 def test_flow_builds_each_step_map_once(kind):
-    # models keep no cache: the flow kernel asks for one step map per
-    # distinct (d value, step) pair of its node grid, and reuses it
+    # models keep no cache: the flow kernel builds each (d value, step) map
+    # once and reuses it.  A piece with F full steps takes the maps at
+    # step 2^m for the bits m of F, one apply each, up to the longest leap S
+    # steps within _LEAP_SECONDS, then one apply at S steps per S nodes
+    # past 2S, then one shortened last step
     from collections import Counter
     from dataclasses import replace
 
@@ -499,18 +503,33 @@ def test_flow_builds_each_step_map_once(kind):
         system = build_switched_linear([[[-1.0, 0.0], [0.0, -2.0]],
                                         [[-1.5, 0.5], [0.0, -0.8]]]).system
         d = DisturbanceSignal((0.0, 0.37, 1.1), (0, 1, 0))
-    calls = Counter()
+    calls, applies = Counter(), Counter()
 
     def counting(dval, dt):
         calls[dval, dt] += 1
-        return system.propagator(dval, dt)
+        advance = system.propagator(dval, dt)
+
+        def apply(X):
+            applies[dval, dt] += 1
+            return advance(X)
+        return apply
 
     x = np.random.default_rng(0).normal(size=system.dim)
     traj = flow(replace(system, propagator=counting), 2.3, x, d, step=0.01)
-    grid = {(d.value_at(t), h) for t, h in zip(traj.times, np.diff(traj.times).tolist())}
-    assert calls.keys() == grid
+    edges = [0.0, *(b for b in d.breakpoints if 0.0 < b < 2.3), 2.3]
+    S = 2 ** math.floor(math.log2(systems._LEAP_SECONDS / 0.01))
+    maps, bound = set(), 0
+    for t0, t1 in zip(edges, edges[1:]):
+        inner = traj.times[(traj.times > t0) & (traj.times < t1)]
+        full, v = len(inner), d.value_at(t0)
+        maps |= {(v, 0.01 * 2**m) for m in range(full.bit_length()) if 2**m <= S}
+        maps.add((v, t1 - float(inner[-1])))
+        bound += (math.ceil(math.log2(min(full + 1, 2 * S)))
+                  + math.ceil(max(0, full + 1 - 2 * S) / S) + 1)
+    assert max(dt for _, dt in calls) <= systems._LEAP_SECONDS
+    assert calls.keys() == maps
     assert set(calls.values()) == {1}
-    assert len(calls) < len(traj.times) - 1
+    assert sum(applies.values()) <= bound < len(traj.times) - 1
     np.testing.assert_array_equal(traj.states, flow(system, 2.3, x, d, step=0.01).states)
 
 
